@@ -113,6 +113,7 @@ pub fn write_bench_trajectory(records: &[BenchRecord]) -> std::io::Result<PathBu
 /// (objects, arrays, strings, numbers) for the trajectory file, with byte
 /// offsets in error messages.
 struct JsonCursor<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -120,6 +121,7 @@ struct JsonCursor<'a> {
 impl<'a> JsonCursor<'a> {
     fn new(text: &'a str) -> Self {
         JsonCursor {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         }
@@ -183,13 +185,20 @@ impl<'a> JsonCursor<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Strings are valid UTF-8 (the input is a &str); copy the
-                    // whole multi-byte character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape in
+                    // one slice of the (already valid UTF-8) input: both
+                    // delimiters are ASCII, so the run ends on a character
+                    // boundary, and each byte is looked at once.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    let chunk = self
+                        .text
+                        .get(self.pos..self.pos + run)
+                        .ok_or("string does not start on a character boundary")?;
+                    out.push_str(chunk);
+                    self.pos += run;
                 }
             }
         }
@@ -498,12 +507,22 @@ mod tests {
 
     #[test]
     fn escaped_strings_roundtrip() {
-        let records = vec![BenchRecord {
-            group: "a\"b\\c".into(),
-            config: "line\nbreak\ttab µs".into(),
-            ns_per_decision: 0.25,
-            speedup: 12.125,
-        }];
+        let records = vec![
+            BenchRecord {
+                group: "a\"b\\c".into(),
+                config: "line\nbreak\ttab µs".into(),
+                ns_per_decision: 0.25,
+                speedup: 12.125,
+            },
+            BenchRecord {
+                // Multi-byte characters (2, 3 and 4 bytes) right against
+                // escapes, a `\u` control escape and a carriage return.
+                group: "é\"€\\𝄞".into(),
+                config: "\u{1}𝄞\r\nµ".into(),
+                ns_per_decision: 1.5,
+                speedup: 2.0,
+            },
+        ];
         let rendered = render_bench_trajectory(&records);
         assert_eq!(parse_bench_trajectory(&rendered).unwrap(), records);
     }
@@ -644,10 +663,11 @@ mod tests {
             "trajectory must record a compiled speedup on the execution engine"
         );
         // The probe-overhead rows: a noop/metrics pair per engine at the
-        // 300-task acceptance point. The noop rows are the zero-cost gate's
-        // paper trail — they are measured through the plain entry points,
-        // which *are* the NoopProbe monomorphization.
-        for workload in ["sim/300", "exec/300", "sim-compiled/300"] {
+        // 300-task acceptance point (the simulator has one driver, so one
+        // sim pair). The noop rows are the zero-cost gate's paper trail —
+        // they are measured through the plain entry points, which *are* the
+        // NoopProbe monomorphization.
+        for workload in ["sim/300", "exec/300"] {
             for side in ["noop", "metrics"] {
                 let config = format!("{workload}/{side}");
                 assert!(

@@ -11,15 +11,18 @@
 //! allocation belongs to per-run setup (table construction, reservations,
 //! finalisation sorts), none to the steady-state loop.
 //!
-//! The counting allocator wraps the system allocator with relaxed atomic
-//! counters; the test file hosts it (rather than `rt-bench`'s library)
-//! because implementing `GlobalAlloc` requires `unsafe`, which the library
-//! forbids.
+//! The counting allocator wraps the system allocator with *per-thread*
+//! counters: the test harness runs tests on parallel threads, and a
+//! process-global count would charge one test's run with the allocations of
+//! whatever the other threads did meanwhile. Each count therefore only sees
+//! the allocations of the thread that runs the measured closure. The test
+//! file hosts the allocator (rather than `rt-bench`'s library) because
+//! implementing `GlobalAlloc` requires `unsafe`, which the library forbids.
 
 use rt_model::{Instant, Priority, SchedulingPolicy, ServerSpec, Span, SystemSpec, Trace};
 use rt_taskserver::{ExecutionConfig, ExecutionPlan, SubstratePlan};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 /// Static↔dynamic coverage manifest: every `// rt-lint: zero-alloc` region in
 /// the workspace, as `(file, fn)` pairs. rt-lint's workspace self-test parses
@@ -29,10 +32,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// below; a manifest entry without a marker means the static half of the
 /// guarantee was dropped. Keep the list sorted by path then name.
 const ZERO_ALLOC_COVERED_FNS: &[(&str, &str)] = &[
-    ("crates/compile/src/sim.rs", "pick_runner_edf"),
-    ("crates/compile/src/sim.rs", "pick_runner_fp"),
-    ("crates/compile/src/sim.rs", "run_server"),
-    ("crates/compile/src/sim.rs", "run_task"),
     ("crates/core/src/fastpath.rs", "pick"),
     ("crates/core/src/fastpath.rs", "run"),
     ("crates/metrics/src/hist.rs", "record"),
@@ -56,14 +55,25 @@ const ZERO_ALLOC_COVERED_FNS: &[(&str, &str)] = &[
 
 struct CountingAllocator;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-static REALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Const-initialised `Cell`s with no destructor: reading or bumping them
+    // never allocates, so the allocator can touch them from inside `alloc`.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    static REALLOCS: Cell<usize> = const { Cell::new(0) };
+}
 
-// rt-lint: allow(unsafe, reason = "a GlobalAlloc impl is unavoidably unsafe; every method delegates straight to the System allocator and only bumps atomic counters")
+/// Bumps this thread's counter. `try_with` keeps allocations made while the
+/// thread's locals are being torn down from panicking; those are never
+/// inside a measured closure.
+fn bump(counter: &'static std::thread::LocalKey<Cell<usize>>) {
+    let _ = counter.try_with(|c| c.set(c.get() + 1));
+}
+
+// rt-lint: allow(unsafe, reason = "a GlobalAlloc impl is unavoidably unsafe; every method delegates straight to the System allocator and only bumps thread-local counters")
 unsafe impl GlobalAlloc for CountingAllocator {
     // rt-lint: allow(unsafe, reason = "required unsafe signature of the GlobalAlloc trait; delegates to System")
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump(&ALLOCS);
         System.alloc(layout)
     }
 
@@ -74,7 +84,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // rt-lint: allow(unsafe, reason = "required unsafe signature of the GlobalAlloc trait; delegates to System")
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump(&REALLOCS);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -82,15 +92,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// (allocations, reallocations) performed while running `f`.
+/// (allocations, reallocations) performed by this thread while running `f`.
 fn count_allocations(f: impl FnOnce()) -> (usize, usize) {
-    let a0 = ALLOCS.load(Ordering::Relaxed);
-    let r0 = REALLOCS.load(Ordering::Relaxed);
+    let a0 = ALLOCS.with(Cell::get);
+    let r0 = REALLOCS.with(Cell::get);
     f();
-    (
-        ALLOCS.load(Ordering::Relaxed) - a0,
-        REALLOCS.load(Ordering::Relaxed) - r0,
-    )
+    (ALLOCS.with(Cell::get) - a0, REALLOCS.with(Cell::get) - r0)
 }
 
 /// The `engine_scaling` exec workload shape: a deferrable server over a
@@ -209,21 +216,10 @@ fn assert_amortized_only(label: &str, run: impl Fn(&SystemSpec) -> Trace) {
 }
 
 #[test]
-fn interpreted_simulator_decision_loops_allocate_amortized_only() {
+fn simulator_decision_loops_allocate_amortized_only() {
     assert_amortized_only("rtss-sim fp", rtss_sim::simulate);
     assert_amortized_only("rtss-sim edf", |spec| {
         rtss_sim::simulate(&workload_with(
-            spec.horizon.ticks() / 1000,
-            SchedulingPolicy::Edf,
-        ))
-    });
-}
-
-#[test]
-fn compiled_simulator_decision_loops_allocate_amortized_only() {
-    assert_amortized_only("rt-compile fp", rt_compile::simulate_compiled);
-    assert_amortized_only("rt-compile edf", |spec| {
-        rt_compile::simulate_compiled(&workload_with(
             spec.horizon.ticks() / 1000,
             SchedulingPolicy::Edf,
         ))
@@ -252,10 +248,6 @@ fn probe_enabled_decision_loops_allocate_amortized_only() {
         let mut probe = MetricsProbe::new();
         rtss_sim::simulate_with_probe(spec, &mut probe)
     });
-    assert_amortized_only("rt-compile observed", |spec| {
-        let mut probe = MetricsProbe::new();
-        rt_compile::simulate_compiled_with_probe(spec, &mut probe)
-    });
     let config = ExecutionConfig::reference();
     assert_amortized_only("rtsj-emu observed", |spec| {
         let mut probe = MetricsProbe::new();
@@ -272,8 +264,7 @@ fn coverage_manifest_is_sorted_and_names_real_files() {
     // The engines driven above are exactly the crates the manifest spans.
     for (file, _) in ZERO_ALLOC_COVERED_FNS {
         assert!(
-            file.starts_with("crates/compile/")
-                || file.starts_with("crates/core/")
+            file.starts_with("crates/core/")
                 || file.starts_with("crates/metrics/")
                 || file.starts_with("crates/observe/")
                 || file.starts_with("crates/rtsj/")

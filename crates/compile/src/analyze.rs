@@ -3,10 +3,10 @@
 //! ceilings, trace reservation hint) from the compiled tables.
 //!
 //! This is the table-driven twin of [`SubstratePlan::analyze`]: the same
-//! structure, but computed in O(tasks + servers) from the already-frozen
-//! [`LaneTable`]/[`ReleaseGroup`]/[`TaskTable`] rows instead of re-walking a
-//! spec — compilation stays free of per-event work, and the ceilings come
-//! out of the same priority ranking the simulation tables use.
+//! structure, but computed in O(tasks + servers) from the simulator's
+//! already-frozen [`SimTables`] rows instead of re-walking a spec —
+//! compilation stays free of per-event work, and the ceilings come out of
+//! the same priority ranking the simulation tables use.
 //!
 //! Thread layout matches `ExecutionPlan::run`'s spawn order exactly: server
 //! lanes first (thread id = lane index), then periodic tasks (thread id =
@@ -14,21 +14,13 @@
 //! reproduce the engine's `(priority, Reverse(thread id))` ready-heap
 //! tie-break by construction.
 
-use crate::{LaneTable, ReleaseGroup, TaskTable};
 use rt_model::{Instant, Priority, ServerPolicyKind};
 use rt_taskserver::{rank_tables, SubstrateGroup, SubstratePlan};
+use rtss_sim::SimTables;
 
-/// Builds the execution substrate from the compiled tables. `job_count` is
-/// the exact periodic-job count within the horizon and `arrival_count` the
-/// in-horizon aperiodic traffic — both already computed by the compile pass.
-pub(crate) fn build_substrate(
-    lanes: &[LaneTable],
-    tasks: &[TaskTable],
-    groups: &[ReleaseGroup],
-    job_count: usize,
-    arrival_count: usize,
-    horizon: Instant,
-) -> SubstratePlan {
+/// Builds the execution substrate from the frozen simulation tables.
+pub(crate) fn build_substrate(tables: &SimTables<'_>) -> SubstratePlan {
+    let (lanes, tasks, groups) = (tables.lanes(), tables.tasks(), tables.groups());
     let mut priorities: Vec<Priority> = Vec::with_capacity(lanes.len() + tasks.len());
     priorities.extend(lanes.iter().map(|l| l.priority));
     priorities.extend(tasks.iter().map(|t| t.priority));
@@ -53,7 +45,7 @@ pub(crate) fn build_substrate(
             }),
         };
     for (lane_index, lane) in lanes.iter().enumerate() {
-        if lane.kind == ServerPolicyKind::Polling {
+        if lane.policy == ServerPolicyKind::Polling {
             push_member(&mut wheel, Instant::ZERO, lane.period, lane_index as u32);
         }
     }
@@ -79,10 +71,10 @@ pub(crate) fn build_substrate(
     // Reservation hint: every activity source produces a bounded number of
     // trace segments (job slices, handler slices, timer-overhead slices,
     // idle gaps between them).
-    let horizon_ticks = horizon.ticks();
-    let mut activity = job_count as u64 + arrival_count as u64;
+    let horizon_ticks = tables.horizon().ticks();
+    let mut activity = tables.job_count() as u64 + tables.arrival_count() as u64;
     for lane in lanes {
-        match lane.kind {
+        match lane.policy {
             ServerPolicyKind::Polling | ServerPolicyKind::Deferrable => {
                 let period = lane.period.ticks();
                 if period > 0 && horizon_ticks > 0 {

@@ -30,10 +30,6 @@ pub struct ExecutionConfig {
     /// Engine scheduling structures (indexed by default; the linear-scan
     /// reference exists for differential tests and benchmarks).
     pub scheduler: SchedulerKind,
-    /// Engine same-instant batching (on by default; the off position exists
-    /// for the `engine_scaling` ablation and the batching tests — traces are
-    /// identical either way).
-    pub batching: bool,
     /// Scheduling-policy override: `None` (the default) follows the
     /// [`SystemSpec::scheduling`] knob of the executed system; `Some` forces
     /// the policy regardless of the spec — handy for differential tests
@@ -49,7 +45,6 @@ impl ExecutionConfig {
             overhead: OverheadModel::reference(),
             queue: QueueKind::Fifo,
             scheduler: SchedulerKind::Indexed,
-            batching: true,
             scheduling: None,
         }
     }
@@ -61,7 +56,6 @@ impl ExecutionConfig {
             overhead: OverheadModel::none(),
             queue: QueueKind::Fifo,
             scheduler: SchedulerKind::Indexed,
-            batching: true,
             scheduling: None,
         }
     }
@@ -81,12 +75,6 @@ impl ExecutionConfig {
     /// Replaces the engine scheduler implementation.
     pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
         self.scheduler = scheduler;
-        self
-    }
-
-    /// Enables or disables engine same-instant batching.
-    pub fn with_batching(mut self, batching: bool) -> Self {
-        self.batching = batching;
         self
     }
 
@@ -206,8 +194,7 @@ impl<'a> ExecutionPlan<'a> {
         let engine_config = EngineConfig::new(spec.horizon)
             .with_overhead(config.overhead)
             .with_scheduler(config.scheduler)
-            .with_policy(policy)
-            .with_batching(config.batching);
+            .with_policy(policy);
         let mut names = NameTable::new();
         let events = spec
             .workload()

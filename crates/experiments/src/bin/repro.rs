@@ -30,11 +30,11 @@
 //! `--discipline fifo|edd` selects the servers' queue-service discipline
 //! (FIFO-with-skip vs deadline-ordered).
 //!
-//! `--compiled` routes every run through the `rt-compile` specialized
-//! engines instead of the interpreted ones. The compiled traces are
-//! byte-identical to the interpreted traces, so every printed number is
-//! unchanged — the flag is a determinism cross-check that also reproduces
-//! the tables faster at scale.
+//! `--compiled` routes every execution through the `rt-compile` ceiling-table
+//! fast path instead of the general emulator loop (simulations run the
+//! simulator's one driver either way). The compiled traces are
+//! byte-identical, so every printed number is unchanged — the flag is a
+//! determinism cross-check that also reproduces the tables faster at scale.
 //!
 //! `observe` extras: `--quick` observes 3 systems per set instead of the
 //! paper's 10 (the CI determinism smoke uses it), and `--trace-out <path>`

@@ -30,12 +30,11 @@ use std::fmt;
 /// never decide); pass `&mut probe` to keep the recording.
 pub fn run_system_observed<P: Probe>(system: &SystemSpec, mode: EvaluationMode, probe: P) -> Trace {
     match mode {
-        EvaluationMode::Simulation => rtss_sim::simulate_with_probe(system, probe),
+        EvaluationMode::Simulation | EvaluationMode::CompiledSimulation => {
+            rtss_sim::simulate_with_probe(system, probe)
+        }
         EvaluationMode::Execution => {
             execute_with_probe(system, &ExecutionConfig::reference(), probe)
-        }
-        EvaluationMode::CompiledSimulation => {
-            rt_compile::simulate_compiled_with_probe(system, probe)
         }
         // The compiled-execution substrate fast path carries no probe
         // parameter by design (it is the zero-overhead dispatch loop); the

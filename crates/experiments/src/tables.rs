@@ -29,7 +29,9 @@ pub enum EvaluationMode {
     /// Execution of the framework implementation with the reference
     /// overhead model.
     Execution,
-    /// Simulation through the compiled dispatch driver.
+    /// Simulation through the compiled system: the simulator has one
+    /// driver, so this runs exactly [`EvaluationMode::Simulation`]'s loop
+    /// (kept so `--compiled` switches both worlds at once).
     CompiledSimulation,
     /// Execution through a compiled schedulable plan.
     CompiledExecution,
@@ -421,9 +423,8 @@ pub fn reproduce_multi_server_table(
 /// Runs one system in the requested mode.
 pub fn run_system(system: &SystemSpec, mode: EvaluationMode) -> Trace {
     match mode {
-        EvaluationMode::Simulation => simulate(system),
+        EvaluationMode::Simulation | EvaluationMode::CompiledSimulation => simulate(system),
         EvaluationMode::Execution => execute(system, &ExecutionConfig::reference()),
-        EvaluationMode::CompiledSimulation => rt_compile::simulate_compiled(system),
         EvaluationMode::CompiledExecution => {
             rt_compile::execute_compiled(system, &ExecutionConfig::reference())
         }

@@ -1,229 +1,114 @@
-//! The RTSS discrete-event simulation engine for preemptive systems with
-//! aperiodic task servers — fixed-priority by default, EDF when the
-//! simulated [`SystemSpec::scheduling`] says so.
+//! The RTSS simulation engine: one table-driven decision loop for preemptive
+//! systems with aperiodic task servers — fixed-priority by default, EDF when
+//! [`SystemSpec::scheduling`] says so.
 //!
 //! The engine advances from decision point to decision point (periodic
 //! release, aperiodic arrival, server replenishment, job completion,
-//! capacity exhaustion, horizon) instead of ticking a quantum, so simulation
-//! time is exact and the cost of a run is proportional to the number of
-//! scheduling decisions, not to the length of the horizon.
+//! capacity exhaustion, mode change, horizon) instead of ticking a quantum,
+//! so simulation time is exact and the cost of a run is proportional to the
+//! number of scheduling decisions, not to the length of the horizon.
 //!
 //! The simulated policies are the literature-exact ones ("this is not a
 //! simulation of our implementations", paper §5): handlers are resumable,
 //! there is no server overhead and no timer overhead, so the interrupted
-//! ratio of a simulation is always zero.
+//! ratio of a simulation is always zero. The capacity rules live in the
+//! crate's `policy` module; the naive oracle every rule here is checked
+//! against is [`crate::simulate_reference`].
 //!
-//! # Per-decision complexity
+//! # The driver
 //!
-//! With `t` periodic tasks, one decision under the default indexed mode
-//! ([`simulate`]) costs:
+//! [`simulate`] freezes the spec into [`SimTables`] and runs one `Driver`
+//! instantiation per server-policy kind × scheduling policy (selected from
+//! the frozen policy set), so capacity accounting is direct field
+//! arithmetic with no enum dispatch; systems mixing kinds or swapping
+//! policies run the `AnyLanePolicy` instantiation. With `t` periodic tasks
+//! and `S` server lanes one decision costs:
 //!
 //! * **next decision point** — aperiodic arrivals are a cursor into the
-//!   release-sorted event list (O(1)); the server replenishment is one field
-//!   (O(1)); periodic releases are the peek of a [`BinaryHeap`] keyed on
-//!   `(release, task index)` with lazily discarded stale entries (amortised
-//!   O(1) peek, O(log t) per release);
-//! * **runner choice** — ready tasks (non-empty pending queues) live in a
-//!   second [`BinaryHeap`] keyed on `(priority, Reverse(task index))`,
-//!   updated on empty↔non-empty transitions, so the highest-priority ready
-//!   task is an amortised O(1) peek; the seed's first-index-wins tie-breaks
-//!   (server before equal-priority tasks, earlier task before later) are
-//!   preserved exactly. The `S` server lanes (see below) are swept linearly,
-//!   so a decision costs O(S + log t) — servers are few, tasks are many.
+//!   release-sorted event list (O(1)); periodic releases ride a per-*rate
+//!   group* wheel: tasks sharing `(offset, period)` release together
+//!   forever, so one heap entry covers the whole group; lane replenishments
+//!   are one field each (O(S));
+//! * **runner choice** — under fixed priorities the ready tasks are a
+//!   `ReadyBits` occupancy bitmap (find-highest-set scan) with the exact
+//!   tie-breaks of a `(priority, Reverse(index))` heap; under EDF they are a
+//!   heap keyed on the front job's absolute deadline with lazily discarded
+//!   stale entries. Server lanes are swept linearly and win ties against
+//!   tasks, earlier install index before later.
 //!
 //! # Multi-server systems
 //!
-//! The engine runs every server of [`SystemSpec::servers`] concurrently:
-//! each server owns a *lane* (its [`crate::server::ServerState`] capacity
-//! machine plus its own pending queue), arrivals are routed by
-//! [`rt_model::AperiodicEvent::server`], and the dispatcher picks among
-//! ready lanes and tasks by priority with the seed's tie-breaks (servers
-//! before equal-priority tasks, earlier install index before later). A
-//! one-server system takes exactly the code path the single-server engine
-//! took, so pre-refactor traces are byte-identical (pinned by the goldens).
-//!
-//! The seed implementation rescanned every task for both questions —
-//! O(t) per decision. It is retained as [`simulate_reference`]: the
-//! differential tests assert both modes produce identical traces and the
-//! `engine_scaling` benchmark measures the gap.
-//!
-//! **Steady-state allocations.** A decision in the populated steady state
-//! performs **zero** heap allocations: arrivals route through
-//! [`rt_admission::ServerAdmission::on_arrival_into`] with the simulator's
-//! reused `aborted_scratch` buffer (take / drain / clear / restore), jobs
-//! move between preallocated per-lane queues, and heap insertions only
-//! allocate on amortised capacity doublings (none once warm). What remains
-//! per decision is O(1) trace-segment growth — the run's output, not
-//! bookkeeping. The compiled engine (`rt-compile`) starts from this same
-//! discipline and removes the residual dynamic dispatch.
-//!
-//! # Scheduling policy and service discipline
-//!
-//! [`SystemSpec::scheduling`] selects the dispatcher: under
-//! [`SchedulingPolicy::Edf`] the task-ready heap is re-keyed by each task's
-//! front-job absolute deadline (release + relative deadline) with the same
-//! lazy staleness rule, and server lanes are ranked by their
-//! *replenishment-derived deadlines*
-//! ([`crate::server::ServerState::edf_deadline`]); ties go to servers
-//! before tasks and to the earlier index, exactly the fixed-priority
-//! tie-break. Within a lane, [`rt_model::QueueDiscipline`] picks the job:
-//! FIFO (the textbook order — resumable servers never need the
-//! implementation's cost skip) or earliest-deadline-first over the events'
-//! absolute deadlines (an O(backlog) sweep per dispatch; lanes are short in
-//! the simulated workloads, the execution engine's indexed `PendingQueue`
-//! is the scalable structure). Under EDF a completed periodic job forces a
-//! dispatcher re-entry instead of batching on: its successor has a later
-//! deadline, so the forced-re-pick argument only holds for servers.
+//! Every server of [`SystemSpec::servers`] owns a *lane*: its capacity state,
+//! its own pending queue and its admission machine. Arrivals are routed by
+//! [`rt_model::AperiodicEvent::server`]. Within a lane,
+//! [`rt_model::QueueDiscipline`] picks the job: FIFO (the textbook order —
+//! resumable servers never need the implementation's cost skip) or earliest
+//! absolute deadline (an O(backlog) sweep per dispatch). Under EDF lanes are
+//! ranked by their replenishment-derived deadlines
+//! (`LanePolicy::edf_deadline`).
 //!
 //! # On-line admission
 //!
 //! Each lane embeds the `rt-admission` decision machine
 //! ([`rt_admission::ServerAdmission`]) its [`rt_model::ServerSpec`]
-//! configures: arrivals are classified accept / reject / abort *before*
-//! they enter the lane queue, rejected events become
-//! [`rt_model::AperiodicFate::Rejected`] records and displaced ones
-//! [`rt_model::AperiodicFate::Aborted`]. Decisions depend only on the
-//! arrival history — never on lane runtime state — so they are identical
-//! to the execution engine's for the same system. Under the default
-//! [`rt_model::AdmissionPolicy::AcceptAll`] the machinery is stateless and
-//! the traces are byte-identical to the pre-admission engine. Per-arrival
-//! cost: O(1) for accept-all, amortised O(1) for the predictive policy,
-//! O(backlog) per provisional drop for the value-density rule.
+//! configures, fed through the allocation-free `on_arrival_into` with a
+//! reused scratch buffer; `AcceptAll` lanes skip it entirely. Rejected
+//! events become [`AperiodicFate::Rejected`] records and displaced ones
+//! [`AperiodicFate::Aborted`]. Decisions depend only on the arrival history,
+//! so they are identical to the execution engine's for the same system.
 //!
 //! # Fault injection & mode changes
 //!
-//! When the spec carries a [`rt_model::FaultPlan`], three things change —
-//! none of which costs anything on fault-free specs:
-//!
 //! * **Arrival faults** (release jitter, dropped arrivals) are resolved by
-//!   [`SystemSpec::apply_arrival_faults`] *before* the simulator is built,
-//!   so every engine mode (and the execution world) sees the same already-
-//!   normalised arrival stream. Zero runtime cost.
+//!   [`SystemSpec::apply_arrival_faults`] when the tables are frozen.
 //! * **Cost overruns** give the faulted job a service cap equal to its
-//!   declared budget while its real demand grows by the injected extra;
-//!   exhausting the cap mid-job surfaces as [`AperiodicFate::Aborted`] and
-//!   releases the job's admission-plan slot
-//!   ([`rt_admission::ServerAdmission::on_abort`]). Enforcement is one
-//!   extra `min` + subtraction per served slice — O(1) per decision; the
-//!   abort itself pays the admission repack, O(backlog), only when it fires.
+//!   declared budget; exhausting it mid-job surfaces as
+//!   [`AperiodicFate::Aborted`] and releases the job's admission-plan slot.
 //! * **Mode changes** apply at the first *quiescent* decision point at or
 //!   after their instant (no in-service job on the lane — in-flight work
-//!   drains first), reconfiguring capacity/period/policy/discipline/
-//!   admission ([`crate::server::ServerState::reconfigure`]). The sweep is
-//!   O(mode changes) per decision point with per-record applied flags, and
-//!   each pending instant is a decision point, so reconfiguration lands at
-//!   the same instant in every engine mode.
+//!   drains first), reconfiguring the lane's statics, capacity state and
+//!   admission machine.
 //!
 //! # Same-instant batching
 //!
-//! Decision *count* is the remaining cost driver. Between two consecutive
-//! decision points nothing new can become due — that is the definition of
-//! a decision point (`Simulator::next_decision_point`) — so when the chosen runner finishes a
-//! job strictly inside its window, the next pick is forced: the task/server
-//! states other than the runner's own queue are untouched, and the previous
-//! priority comparison still holds. The default engine therefore keeps
-//! serving from the same runner's queue until the window closes, the queue
-//! drains, or (for the server) capacity runs out, instead of paying a full
-//! dispatcher re-entry (`process_due_events` + `next_decision_point` +
-//! `pick_runner`) per job: k coincident arrivals cost one dispatch, not k.
-//! The traces are byte-identical by construction; [`simulate_unbatched`]
-//! keeps the one-job-per-dispatch loop for differential tests and the
-//! `engine_scaling` harness ablation.
+//! Between two consecutive decision points nothing new can become due, so
+//! when the chosen runner finishes a job strictly inside its window the next
+//! pick is forced. A server runner keeps serving its queue until the window
+//! closes, the queue drains or capacity runs out; a task runner exit re-picks
+//! *within the window* (tasks cannot move a lane replenishment) instead of
+//! paying a full `process_due_events` + `next_decision_point` re-entry. A
+//! server runner can move one (sporadic consumption schedules
+//! replenishments), so server exits re-enter the full loop. Under EDF a
+//! completed periodic job forces a re-pick: its successor has a later
+//! deadline. The traces are byte-identical to the oracle's one job per
+//! dispatch (pinned by the differential tests, the fuzzer and the goldens).
+//!
+//! # Per-decision allocations: zero
+//!
+//! Trace vectors, job queues, the wheel and the ready structures are
+//! preallocated from the tables, so a steady-state decision performs no heap
+//! allocation; the only amortised growth left is a pending queue exceeding
+//! its initial estimate and the admission machine's displacement repacks
+//! (O(backlog), overload-only).
 
-use crate::server::ServerState;
+use crate::policy::{
+    apply_mode_change, AnyLanePolicy, BackgroundLane, DeferrableLane, LanePolicy, PollingLane,
+    SporadicLane,
+};
+use crate::tables::{ArrivalTable, PolicySet, SimTables};
 use rt_admission::{ArrivingEvent, ServerAdmission};
 use rt_model::{
-    AperiodicFate, AperiodicOutcome, EventId, ExecUnit, Instant, PeriodicJobRecord, PeriodicTask,
-    Priority, QueueDiscipline, SchedulingPolicy, ServerPolicyKind, Span, SystemSpec, Trace,
+    AdmissionPolicy, AperiodicFate, AperiodicOutcome, EventId, ExecUnit, Instant,
+    PeriodicJobRecord, QueueDiscipline, SchedulingPolicy, ServerPolicyKind, ServerSpec, Span,
+    SystemSpec, Trace,
 };
 use rt_observe::{AdmissionVerdict, NoopProbe, Probe};
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// One pending periodic job inside the simulator.
-#[derive(Debug, Clone)]
-struct PendingPeriodicJob {
-    activation: u64,
-    release: Instant,
-    deadline: Instant,
-    remaining: Span,
-}
-
-/// Per-task simulation state.
-#[derive(Debug, Clone)]
-struct PeriodicState {
-    task: PeriodicTask,
-    next_release: Instant,
-    next_activation: u64,
-    pending: VecDeque<PendingPeriodicJob>,
-}
-
-impl PeriodicState {
-    fn new(task: PeriodicTask) -> Self {
-        let next_release = task.release_of(0);
-        PeriodicState {
-            task,
-            next_release,
-            next_activation: 0,
-            pending: VecDeque::new(),
-        }
-    }
-}
-
-/// One pending aperiodic job inside a server's pending queue.
-#[derive(Debug, Clone)]
-struct PendingAperiodic {
-    index: usize,
-    remaining: Span,
-    started: Option<Instant>,
-    /// Absolute deadline used by deadline-ordered lane service: the event's
-    /// `release + relative_deadline`, or the release itself when the event
-    /// carries no deadline (so deadline order degenerates to FIFO).
-    deadline: Instant,
-    /// Service budget still allowed before enforcement cuts the job off:
-    /// the declared cost for jobs carrying an injected overrun
-    /// ([`rt_model::FaultPlan::overrun_extra`]), [`Span::MAX`] otherwise.
-    /// Exhausting it with work remaining surfaces as
-    /// [`AperiodicFate::Aborted`]. O(1) per served slice — one extra `min`
-    /// and one subtraction on the dispatch path.
-    cap_left: Span,
-}
-
-/// One installed server: its capacity-policy state plus its own pending
-/// queue (the per-server `PendingQueue` of the multi-server layer) and its
-/// on-line admission state — the same `rt-admission` machine the execution
-/// engine embeds, fed the same arrival history, so accept/reject decisions
-/// agree across engines by construction.
-#[derive(Debug, Clone)]
-struct ServerLane {
-    state: ServerState,
-    queue: VecDeque<PendingAperiodic>,
-    admission: ServerAdmission,
-}
-
-/// Which entity the simulator decided to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Runner {
-    Server(usize),
-    Task(usize),
-}
-
-/// Builds the outcome record of one spec event, carrying its value tag and
-/// absolute deadline.
-fn outcome(event: &rt_model::AperiodicEvent, fate: AperiodicFate) -> AperiodicOutcome {
-    AperiodicOutcome {
-        event: event.id,
-        release: event.release,
-        declared_cost: event.declared_cost,
-        value: event.value,
-        deadline: event.absolute_deadline(),
-        fate,
-    }
-}
-
-/// Simulates the execution of the system under its configured server policy
-/// and preemptive fixed priorities, returning the full trace. Uses the
-/// indexed O(log t)-per-decision engine with same-instant batching.
+/// Simulates the execution of the system under its configured server
+/// policies and scheduling policy, returning the full trace.
 ///
 /// ```
 /// use rt_model::{Instant, Priority, ServerSpec, Span, SystemSpec};
@@ -245,16 +130,13 @@ pub fn simulate(spec: &SystemSpec) -> Trace {
     spec.validate()
         // rt-lint: allow(panic, reason = "documented '# Panics' contract: the convenience entry point fails loudly on invalid specs")
         .expect("simulate() requires a valid system specification");
-    if let Some(normalized) = spec.apply_arrival_faults() {
-        return Simulator::new(&normalized, true, true, NoopProbe).run();
-    }
-    Simulator::new(spec, true, true, NoopProbe).run()
+    SimTables::freeze_valid(spec).simulate()
 }
 
 /// Simulates with an attached [`Probe`] observing every decision, dispatch,
-/// slice, release, admission verdict and mode change of the run. The default
-/// indexed + batched engine, so the returned trace is byte-identical to
-/// [`simulate`]'s — probes observe, they never decide (pinned by
+/// slice, release, admission verdict and mode change of the run. Every
+/// probe call site is gated on `P::ENABLED`, so the trace is byte-identical
+/// to [`simulate`]'s — probes observe, they never decide (pinned by
 /// `tests/probe_transparency.rs`). Pass `&mut probe` to keep the recording:
 ///
 /// ```
@@ -280,585 +162,622 @@ pub fn simulate_with_probe<P: Probe>(spec: &SystemSpec, probe: P) -> Trace {
     spec.validate()
         // rt-lint: allow(panic, reason = "documented '# Panics' contract: the convenience entry point fails loudly on invalid specs")
         .expect("simulate_with_probe() requires a valid system specification");
-    if let Some(normalized) = spec.apply_arrival_faults() {
-        return Simulator::new(&normalized, true, true, probe).run();
-    }
-    Simulator::new(spec, true, true, probe).run()
+    SimTables::freeze_valid(spec).simulate_with_probe(probe)
 }
 
-/// Simulates with the seed's linear-scan decision loop (O(t) per decision,
-/// one job per dispatch).
-///
-/// Produces bit-identical traces to [`simulate`]; kept as the reference
-/// implementation for differential tests and the `engine_scaling` benchmark.
-///
-/// # Panics
-/// Panics when the specification fails validation.
-pub fn simulate_reference(spec: &SystemSpec) -> Trace {
-    spec.validate()
-        // rt-lint: allow(panic, reason = "documented '# Panics' contract: the convenience entry point fails loudly on invalid specs")
-        .expect("simulate_reference() requires a valid system specification");
-    if let Some(normalized) = spec.apply_arrival_faults() {
-        return Simulator::new(&normalized, false, false, NoopProbe).run();
+/// Convenience wrapper: simulates the same traffic under a different server
+/// policy (applied to every server of the system) without rebuilding the
+/// whole specification.
+pub fn simulate_with_policy(spec: &SystemSpec, policy: ServerPolicyKind) -> Trace {
+    let mut spec = spec.clone();
+    for server in &mut spec.servers {
+        server.policy = policy;
     }
-    Simulator::new(spec, false, false, NoopProbe).run()
+    simulate(&spec)
 }
 
-/// Simulates with the indexed decision structures but without same-instant
-/// batching: every served job pays a full dispatcher re-entry, as the engine
-/// did before batching landed.
-///
-/// Produces bit-identical traces to [`simulate`]; kept as the ablation point
-/// for the `engine_scaling` harness benchmark and the batching tests.
-///
-/// # Panics
-/// Panics when the specification fails validation.
-pub fn simulate_unbatched(spec: &SystemSpec) -> Trace {
-    spec.validate()
-        // rt-lint: allow(panic, reason = "documented '# Panics' contract: the convenience entry point fails loudly on invalid specs")
-        .expect("simulate_unbatched() requires a valid system specification");
-    if let Some(normalized) = spec.apply_arrival_faults() {
-        return Simulator::new(&normalized, true, false, NoopProbe).run();
+impl SimTables<'_> {
+    /// Runs the driver instantiation the tables select.
+    pub fn simulate(&self) -> Trace {
+        self.simulate_with_probe(NoopProbe)
     }
-    Simulator::new(spec, true, false, NoopProbe).run()
+
+    /// Runs the driver with an attached probe; the trace is byte-identical
+    /// to [`Self::simulate`]'s. Pass `&mut probe` to keep the recording.
+    pub fn simulate_with_probe<PR: Probe>(&self, probe: PR) -> Trace {
+        match (self.lane_set, self.scheduling()) {
+            (PolicySet::Polling, SchedulingPolicy::FixedPriority) => {
+                Driver::<PollingLane, PR, false>::new(self, probe).run()
+            }
+            (PolicySet::Polling, SchedulingPolicy::Edf) => {
+                Driver::<PollingLane, PR, true>::new(self, probe).run()
+            }
+            (PolicySet::Deferrable, SchedulingPolicy::FixedPriority) => {
+                Driver::<DeferrableLane, PR, false>::new(self, probe).run()
+            }
+            (PolicySet::Deferrable, SchedulingPolicy::Edf) => {
+                Driver::<DeferrableLane, PR, true>::new(self, probe).run()
+            }
+            (PolicySet::Background, SchedulingPolicy::FixedPriority) => {
+                Driver::<BackgroundLane, PR, false>::new(self, probe).run()
+            }
+            (PolicySet::Background, SchedulingPolicy::Edf) => {
+                Driver::<BackgroundLane, PR, true>::new(self, probe).run()
+            }
+            (PolicySet::Sporadic, SchedulingPolicy::FixedPriority) => {
+                Driver::<SporadicLane, PR, false>::new(self, probe).run()
+            }
+            (PolicySet::Sporadic, SchedulingPolicy::Edf) => {
+                Driver::<SporadicLane, PR, true>::new(self, probe).run()
+            }
+            (PolicySet::Mixed, SchedulingPolicy::FixedPriority) => {
+                Driver::<AnyLanePolicy, PR, false>::new(self, probe).run()
+            }
+            (PolicySet::Mixed, SchedulingPolicy::Edf) => {
+                Driver::<AnyLanePolicy, PR, true>::new(self, probe).run()
+            }
+        }
+    }
 }
 
-struct Simulator<'a, P: Probe> {
-    spec: &'a SystemSpec,
+/// The admission plan of one lane.
+enum LaneAdmission {
+    /// `AcceptAll`: an unconditional accept (the machine would only bump
+    /// counters the trace never sees).
+    Pass,
+    /// Stateful policy: the machine the execution engine embeds too.
+    Machine(ServerAdmission),
+}
+
+impl LaneAdmission {
+    fn for_server(spec: &ServerSpec) -> Self {
+        if spec.admission == AdmissionPolicy::AcceptAll {
+            LaneAdmission::Pass
+        } else {
+            LaneAdmission::Machine(ServerAdmission::for_server(spec))
+        }
+    }
+}
+
+/// One pending aperiodic job (indexes the frozen arrival stream).
+#[derive(Debug, Clone, Copy)]
+struct ApJob {
+    arrival: u32,
+    remaining: Span,
+    /// Enforced service cap left (the arrival's cap counting down); hitting
+    /// zero with work remaining is an enforcement abort.
+    cap_left: Span,
+    started: Option<Instant>,
+    deadline: Instant,
+}
+
+/// One pending periodic job.
+#[derive(Debug, Clone, Copy)]
+struct PJob {
+    activation: u64,
+    release: Instant,
+    deadline: Instant,
+    remaining: Span,
+}
+
+/// One server lane.
+struct Lane<P> {
+    policy: P,
+    queue: VecDeque<ApJob>,
+    admission: LaneAdmission,
+}
+
+impl<P: LanePolicy> Lane<P> {
+    fn is_ready(&self) -> bool {
+        !self.queue.is_empty() && !self.policy.available().is_zero()
+    }
+}
+
+/// The fixed-priority ready set as an occupancy bitmap: one 256-bit priority
+/// occupancy word plus one task-index row per priority level. `peek` is the
+/// highest set priority bit then the lowest set index bit — exactly a
+/// `(priority, Reverse(index))` max-heap's top — with no comparisons and no
+/// rebalancing. Bits are cleared eagerly when a queue drains, so there are
+/// no stale entries.
+struct ReadyBits {
+    /// Words per priority row (`ceil(tasks / 64)`, at least 1).
+    words: usize,
+    /// Which priority levels have at least one ready task.
+    occ: [u64; 4],
+    /// Per-priority task-index bitmaps, 256 rows of `words` words.
+    rows: Vec<u64>,
+}
+
+impl ReadyBits {
+    fn new(tasks: usize) -> Self {
+        let words = tasks.div_ceil(64).max(1);
+        ReadyBits {
+            words,
+            occ: [0; 4],
+            rows: vec![0; 256 * words],
+        }
+    }
+
+    fn mark(&mut self, level: u8, index: usize) {
+        let level = level as usize;
+        self.rows[level * self.words + index / 64] |= 1u64 << (index % 64);
+        self.occ[level / 64] |= 1u64 << (level % 64);
+    }
+
+    fn clear(&mut self, level: u8, index: usize) {
+        let level = level as usize;
+        let row = &mut self.rows[level * self.words..(level + 1) * self.words];
+        row[index / 64] &= !(1u64 << (index % 64));
+        if row.iter().all(|&w| w == 0) {
+            self.occ[level / 64] &= !(1u64 << (level % 64));
+        }
+    }
+
+    /// Highest ready priority level and its lowest task index.
+    fn peek(&self) -> Option<(u8, usize)> {
+        let (word, bits) = (0..4)
+            .rev()
+            .map(|w| (w, self.occ[w]))
+            .find(|&(_, b)| b != 0)?;
+        let level = word * 64 + (63 - bits.leading_zeros() as usize);
+        let row = &self.rows[level * self.words..(level + 1) * self.words];
+        let (k, w) = row
+            .iter()
+            .enumerate()
+            .find(|&(_, &w)| w != 0)
+            .map(|(k, &w)| (k, w))
+            // rt-lint: allow(panic, reason = "the priority level was found via its non-zero occupancy summary bit, so one word in it is non-zero")
+            .expect("occupied priority level has a set index bit");
+        Some((level as u8, k * 64 + w.trailing_zeros() as usize))
+    }
+}
+
+/// Which entity the driver decided to run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Runner {
+    Server(usize),
+    Task(usize),
+}
+
+/// The monomorphized decision loop: one instantiation per lane-policy type ×
+/// scheduling policy (`EDF` const-folds the dispatcher branch away).
+struct Driver<'a, P, PR, const EDF: bool> {
+    sys: &'a SimTables<'a>,
     now: Instant,
-    horizon: Instant,
-    periodic: Vec<PeriodicState>,
-    servers: Vec<ServerLane>,
-    /// Arrivals with no server to run on (systems without servers); reported
-    /// unserved at the horizon, as the seed engine did.
-    orphans: Vec<usize>,
-    next_arrival: usize,
-    trace: Trace,
-    /// Indexed (heap) vs linear-scan (seed) decision structures.
-    indexed: bool,
-    /// Whether a runner keeps draining its queue inside one decision window
-    /// (same-instant batching) instead of re-entering the dispatcher per job.
-    batch: bool,
-    /// Future periodic releases, min-first by `(release, task index)`.
-    /// Entries are validated against `PeriodicState::next_release` on pop.
-    releases: BinaryHeap<Reverse<(Instant, usize)>>,
-    /// Tasks with a non-empty pending queue, max-first by
-    /// `(priority, Reverse(task index))`. `has_pending` is authoritative.
-    /// Used under fixed-priority scheduling.
-    ready: BinaryHeap<(Priority, Reverse<usize>)>,
-    /// The same ready set re-keyed for EDF: min-first by
-    /// `(front-job deadline, task index)`. An entry is live only while the
-    /// task has pending jobs *and* its front job still carries the recorded
-    /// deadline (serving the front re-keys the task), mirroring the lazy
-    /// staleness rule of the release heap.
-    ready_edf: BinaryHeap<Reverse<(Instant, usize)>>,
-    /// Whether task `i` currently has pending jobs.
-    has_pending: Vec<bool>,
-    /// Reused buffer for the events an admission decision displaces — the
-    /// arrival path stays allocation-free in the steady state.
-    aborted_scratch: Vec<EventId>,
-    /// Scheduling policy of the simulated system ([`SystemSpec::scheduling`]).
-    scheduling: SchedulingPolicy,
-    /// Per-record applied flag for the spec's mode changes (same order as
-    /// [`rt_model::FaultPlan::mode_changes`]). A record stays unapplied past
-    /// its instant while its lane has in-service work — the quiescence
-    /// protocol — and is retried at every decision point.
+    /// Per-task pending job queues (indexes match `sys.tasks`).
+    pending: Vec<VecDeque<PJob>>,
+    lanes: Vec<Lane<P>>,
+    /// Per-run lane statics: borrowed from the spec on the fault-free path,
+    /// copied only when the plan schedules mode changes (applied changes
+    /// rewrite the copy).
+    statics: Cow<'a, [ServerSpec]>,
+    /// Which mode-change records have been applied (per-record flags, not a
+    /// cursor: a busy lane defers its record without blocking other lanes').
     mode_applied: Vec<bool>,
-    /// The observation hooks. Every call site is gated on `P::ENABLED`, so
-    /// the [`NoopProbe`] instantiation compiles to the pre-probe loop.
-    probe: P,
+    /// Arrivals with no server to run on, reported unserved at the horizon.
+    orphans: Vec<u32>,
+    next_arrival: usize,
+    /// The release wheel: min-first by `(next release, group index)`; one
+    /// live entry per rate group, below the horizon.
+    wheel: BinaryHeap<Reverse<(Instant, u32)>>,
+    /// Releases taken so far per group (the members' activation counter).
+    released: Vec<u64>,
+    /// Fixed-priority ready set (unused under EDF).
+    ready: ReadyBits,
+    /// EDF ready set, min-first by `(front-job deadline, task index)`. An
+    /// entry is live only while the task has pending jobs *and* its front
+    /// job still carries the recorded deadline (unused under fixed
+    /// priorities).
+    ready_edf: BinaryHeap<Reverse<(Instant, usize)>>,
+    /// Whether task `i` has pending jobs (EDF staleness check).
+    has_pending: Vec<bool>,
+    /// Reused buffer for admission-displaced event ids.
+    aborted_scratch: Vec<EventId>,
+    /// The observation hooks. Every call site is gated on `PR::ENABLED`, so
+    /// the [`NoopProbe`] instantiation compiles to the unobserved loop.
+    probe: PR,
     /// The unit whose last slice ended with work remaining — the candidate
     /// for a preemption report when the next dispatch picks someone else.
-    /// Only maintained when `P::ENABLED`.
+    /// Only maintained when `PR::ENABLED`.
     incomplete: Option<ExecUnit>,
+    trace: Trace,
 }
 
-impl<'a, P: Probe> Simulator<'a, P> {
-    fn new(spec: &'a SystemSpec, indexed: bool, batch: bool, probe: P) -> Self {
-        let periodic: Vec<PeriodicState> = spec
-            .periodic_tasks
-            .iter()
-            .cloned()
-            .map(PeriodicState::new)
-            .collect();
-        let mut releases = BinaryHeap::new();
-        if indexed {
-            for (i, state) in periodic.iter().enumerate() {
-                if state.next_release < spec.horizon {
-                    releases.push(Reverse((state.next_release, i)));
-                }
+impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
+    fn new(sys: &'a SimTables<'a>, probe: PR) -> Self {
+        let mut wheel = BinaryHeap::with_capacity(sys.groups.len());
+        for (g, group) in sys.groups.iter().enumerate() {
+            if group.first < sys.horizon() {
+                wheel.push(Reverse((group.first, g as u32)));
             }
         }
-        let has_pending = vec![false; periodic.len()];
-        Simulator {
-            spec,
+        let lanes = sys
+            .lanes()
+            .iter()
+            .map(|spec| Lane {
+                policy: P::init(spec),
+                queue: VecDeque::new(),
+                admission: LaneAdmission::for_server(spec),
+            })
+            .collect();
+        let mut trace = Trace::new(sys.horizon());
+        trace.segments.reserve(sys.segment_hint);
+        trace.outcomes.reserve(sys.arrival_count);
+        trace.periodic_jobs.reserve(sys.job_count);
+        let mode_changes = sys.spec().faults.mode_changes.len();
+        Driver {
+            sys,
             now: Instant::ZERO,
-            horizon: spec.horizon,
-            periodic,
-            servers: spec
-                .servers
-                .iter()
-                .cloned()
-                .map(|s| ServerLane {
-                    admission: ServerAdmission::for_server(&s),
-                    state: ServerState::new(s),
-                    queue: VecDeque::new(),
-                })
-                .collect(),
+            pending: sys.tasks.iter().map(|_| VecDeque::new()).collect(),
+            lanes,
+            statics: if mode_changes == 0 {
+                Cow::Borrowed(sys.lanes())
+            } else {
+                Cow::Owned(sys.lanes().to_vec())
+            },
+            mode_applied: vec![false; mode_changes],
             orphans: Vec::new(),
             next_arrival: 0,
-            trace: Trace::new(spec.horizon),
-            indexed,
-            batch,
-            releases,
-            ready: BinaryHeap::new(),
+            wheel,
+            released: vec![0; sys.groups.len()],
+            ready: ReadyBits::new(if EDF { 0 } else { sys.tasks.len() }),
             ready_edf: BinaryHeap::new(),
-            has_pending,
+            has_pending: vec![false; sys.tasks.len()],
             aborted_scratch: Vec::new(),
-            scheduling: spec.scheduling,
-            mode_applied: vec![false; spec.faults.mode_changes.len()],
             probe,
             incomplete: None,
-        }
-    }
-
-    /// Marks task `i` as having pending work in the indexed ready structure
-    /// of the configured scheduling policy.
-    fn mark_ready(&mut self, i: usize) {
-        if !self.has_pending[i] {
-            self.has_pending[i] = true;
-            if self.indexed {
-                match self.scheduling {
-                    SchedulingPolicy::FixedPriority => {
-                        self.ready
-                            .push((self.periodic[i].task.priority, Reverse(i)));
-                    }
-                    SchedulingPolicy::Edf => {
-                        let deadline = self.periodic[i]
-                            .pending
-                            .front()
-                            // rt-lint: allow(panic, reason = "mark_ready is called exactly when a job was pushed onto this queue")
-                            .expect("mark_ready requires a pending job")
-                            .deadline;
-                        self.ready_edf.push(Reverse((deadline, i)));
-                    }
-                }
-            }
+            trace,
         }
     }
 
     fn run(mut self) -> Trace {
-        if P::ENABLED {
-            self.probe.attach(self.servers.len());
+        if PR::ENABLED {
+            self.probe.attach(self.lanes.len());
         }
-        while self.now < self.horizon {
+        while self.now < self.sys.horizon() {
             self.process_due_events();
             let next = self.next_decision_point();
             debug_assert!(next > self.now, "decision points must advance time");
-            if P::ENABLED {
-                self.probe.decision(self.now);
-            }
-            match self.pick_runner() {
-                None => {
-                    if P::ENABLED {
-                        self.probe.slice(ExecUnit::Idle, self.now, next);
-                    }
-                    self.trace.push_segment(ExecUnit::Idle, self.now, next);
-                    self.now = next;
+            // Window inner loop: re-pick without a full dispatcher re-entry
+            // while only *task* runners have executed — nothing is due
+            // strictly inside the window and tasks cannot move lane
+            // replenishments, so `process_due_events` would be a no-op and
+            // the decision point is unchanged. A server runner CAN schedule
+            // an earlier replenishment (sporadic consumption), so it breaks
+            // back to the full loop.
+            loop {
+                // One `decision` report per `pick_runner` call.
+                if PR::ENABLED {
+                    self.probe.decision(self.now);
                 }
-                Some(Runner::Server(s)) => self.run_server(s, next),
-                Some(Runner::Task(i)) => self.run_task(i, next),
+                match self.pick_runner() {
+                    None => {
+                        if PR::ENABLED {
+                            self.probe.slice(ExecUnit::Idle, self.now, next);
+                        }
+                        self.trace.push_segment(ExecUnit::Idle, self.now, next);
+                        self.now = next;
+                        break;
+                    }
+                    Some(Runner::Server(s)) => {
+                        self.run_server(s, next);
+                        break;
+                    }
+                    Some(Runner::Task(i)) => {
+                        self.run_task(i, next);
+                        if self.now >= next {
+                            break;
+                        }
+                    }
+                }
             }
         }
         self.finalise();
         self.trace
     }
 
-    /// Injects every arrival, release and replenishment due at the current
-    /// instant.
-    fn process_due_events(&mut self) {
-        // Mode changes first: a same-instant arrival must be admitted under
-        // the reconfigured lane, exactly as the execution engine applies due
-        // changes before routing a fired event.
-        self.apply_due_mode_changes();
-        // Aperiodic arrivals next, so that an event arriving exactly at a
-        // server activation instant is visible to the activation (the polling
-        // server would otherwise discard its fresh capacity).
-        while self.next_arrival < self.spec.aperiodics.len()
-            && self.spec.aperiodics[self.next_arrival].release <= self.now
-        {
-            let event = &self.spec.aperiodics[self.next_arrival];
-            if event.release < self.horizon {
-                if P::ENABLED {
-                    self.probe.release(self.now);
-                }
-                // The simulator executes the real demand of the handler —
-                // plus any injected overrun, capped at the declared budget
-                // for the faulted jobs (for generated systems declared and
-                // actual agree, so unfaulted jobs never hit the cap).
-                let extra = self.spec.faults.overrun_extra(event.id);
-                let (remaining, cap_left) = if extra.is_zero() {
-                    (event.actual_cost, Span::MAX)
-                } else {
-                    (event.actual_cost + extra, event.declared_cost)
-                };
-                let job = PendingAperiodic {
-                    index: self.next_arrival,
-                    remaining,
-                    started: None,
-                    deadline: event.absolute_deadline().unwrap_or(event.release),
-                    cap_left,
-                };
-                match self.servers.get_mut(event.server) {
-                    Some(lane) => {
-                        let lane_index = event.server;
-                        // The displaced-events buffer is owned by the
-                        // simulator and reused across arrivals, so an
-                        // admission decision allocates nothing once the
-                        // buffer has grown to the burst size.
-                        let mut scratch = std::mem::take(&mut self.aborted_scratch);
-                        let (accepted, _prediction) = lane.admission.on_arrival_into(
-                            &ArrivingEvent {
-                                event: event.id,
-                                release: event.release,
-                                declared_cost: event.declared_cost,
-                                deadline: event.absolute_deadline(),
-                                value: event.value,
-                            },
-                            &mut scratch,
-                        );
-                        for &aborted in &scratch {
-                            self.abort_pending(lane_index, aborted);
-                        }
-                        scratch.clear();
-                        self.aborted_scratch = scratch;
-                        if accepted {
-                            self.servers[lane_index].queue.push_back(job);
-                            if P::ENABLED {
-                                self.probe.admission(
-                                    lane_index,
-                                    AdmissionVerdict::Accepted,
-                                    self.now,
-                                );
-                                let depth = self.servers[lane_index].queue.len() as u64;
-                                self.probe.queue_depth(lane_index, depth);
-                            }
-                        } else {
-                            if P::ENABLED {
-                                self.probe.admission(
-                                    lane_index,
-                                    AdmissionVerdict::Rejected,
-                                    self.now,
-                                );
-                            }
-                            let event = &self.spec.aperiodics[self.next_arrival];
-                            self.trace.push_outcome(outcome(
-                                event,
-                                AperiodicFate::Rejected { at: self.now },
-                            ));
-                        }
-                    }
-                    None => self.orphans.push(self.next_arrival),
-                }
+    /// Marks task `i` ready in the active policy's structure. Must be called
+    /// after the job was pushed; only acts on the empty→non-empty transition
+    /// (under EDF the entry is keyed by the front job's deadline).
+    fn mark_ready(&mut self, i: usize) {
+        if !self.has_pending[i] {
+            self.has_pending[i] = true;
+            if EDF {
+                let deadline = self.pending[i]
+                    .front()
+                    // rt-lint: allow(panic, reason = "mark_ready is called exactly when a job was pushed onto this queue")
+                    .expect("mark_ready requires a pending job")
+                    .deadline;
+                self.ready_edf.push(Reverse((deadline, i)));
+            } else {
+                self.ready.mark(self.sys.tasks[i].priority.level(), i);
             }
-            self.next_arrival += 1;
-        }
-        // Periodic releases. Releases of distinct tasks land in distinct
-        // pending queues, so heap-pop order and task-scan order are
-        // interchangeable; within one task both paths release in
-        // chronological order. Unlike the rtsj-emu calendar there is no
-        // lazy staleness here: the heap holds exactly one entry per task
-        // and `next_release` only advances when that entry is popped.
-        if self.indexed {
-            while let Some(&Reverse((at, i))) = self.releases.peek() {
-                if at > self.now {
-                    break;
-                }
-                self.releases.pop();
-                let state = &mut self.periodic[i];
-                debug_assert_eq!(state.next_release, at, "one live heap entry per task");
-                state.pending.push_back(PendingPeriodicJob {
-                    activation: state.next_activation,
-                    release: state.next_release,
-                    deadline: state.task.deadline_of(state.next_activation),
-                    remaining: state.task.cost,
-                });
-                state.next_activation += 1;
-                state.next_release = state.task.release_of(state.next_activation);
-                let next = state.next_release;
-                if next < self.horizon {
-                    self.releases.push(Reverse((next, i)));
-                }
-                if P::ENABLED {
-                    self.probe.release(self.now);
-                }
-                self.mark_ready(i);
-            }
-        } else {
-            for i in 0..self.periodic.len() {
-                let state = &mut self.periodic[i];
-                let mut released = false;
-                while state.next_release <= self.now && state.next_release < self.horizon {
-                    state.pending.push_back(PendingPeriodicJob {
-                        activation: state.next_activation,
-                        release: state.next_release,
-                        deadline: state.task.deadline_of(state.next_activation),
-                        remaining: state.task.cost,
-                    });
-                    state.next_activation += 1;
-                    state.next_release = state.task.release_of(state.next_activation);
-                    released = true;
-                    if P::ENABLED {
-                        self.probe.release(self.now);
-                    }
-                }
-                if released {
-                    self.mark_ready(i);
-                }
-            }
-        }
-        // Server replenishments, in install order.
-        for lane in &mut self.servers {
-            let queue_empty = lane.queue.is_empty();
-            lane.state.replenish_due(self.now, queue_empty);
         }
     }
 
-    /// Removes an admitted-but-displaced job from a lane's pending queue,
-    /// recording it as aborted (the value-density drop rule). Mirrors the
-    /// execution engine's in-service exemption: a job the (resumable)
-    /// textbook server has already started — or completed — keeps its
-    /// in-flight fate, exactly as the framework's non-resumable dispatch
-    /// removes a release from its queue when service begins, putting it out
-    /// of the abort path's reach. Only never-started queue entries are
-    /// dropped, so the two engines abort the same releases whenever their
-    /// service starts agree.
-    fn abort_pending(&mut self, lane_index: usize, event_id: EventId) {
-        let spec = self.spec;
-        let lane = &mut self.servers[lane_index];
-        let Some(position) = lane
-            .queue
-            .iter()
-            .position(|job| job.started.is_none() && spec.aperiodics[job.index].id == event_id)
-        else {
-            return;
-        };
-        let job = lane
-            .queue
-            .remove(position)
-            // rt-lint: allow(panic, reason = "the position was selected from this queue above; losing it mid-dispatch is an engine bug worth a crash over a corrupted trace")
-            .expect("position came from the queue");
-        if lane.queue.is_empty() {
-            lane.state.on_queue_emptied(self.now);
+    fn process_due_events(&mut self) {
+        let sys = self.sys;
+        // Mode changes first: a same-instant arrival must be admitted under
+        // the reconfigured lane, as the execution engine applies due changes
+        // before routing a fired event.
+        self.apply_due_mode_changes();
+        // Aperiodic arrivals next, in spec order (the admission machines are
+        // order-sensitive), so that an event arriving exactly at a server
+        // activation is visible to it (the polling server would otherwise
+        // discard its fresh capacity).
+        while self.next_arrival < sys.arrival_count
+            && sys.arrival_release(self.next_arrival) <= self.now
+        {
+            let arrival = sys.arrival(self.next_arrival);
+            let index = self.next_arrival as u32;
+            self.next_arrival += 1;
+            if PR::ENABLED {
+                self.probe.release(self.now);
+            }
+            match self.lanes.get_mut(arrival.server) {
+                Some(lane) => {
+                    let mut scratch = std::mem::take(&mut self.aborted_scratch);
+                    let accepted = match &mut lane.admission {
+                        LaneAdmission::Pass => true,
+                        LaneAdmission::Machine(m) => {
+                            m.on_arrival_into(
+                                &ArrivingEvent {
+                                    event: arrival.id,
+                                    release: arrival.release,
+                                    declared_cost: arrival.declared_cost,
+                                    deadline: arrival.deadline,
+                                    value: arrival.value,
+                                },
+                                &mut scratch,
+                            )
+                            .0
+                        }
+                    };
+                    for &aborted in &scratch {
+                        self.abort_pending(arrival.server, aborted);
+                    }
+                    scratch.clear();
+                    self.aborted_scratch = scratch;
+                    if accepted {
+                        self.lanes[arrival.server].queue.push_back(ApJob {
+                            arrival: index,
+                            remaining: arrival.demand,
+                            cap_left: arrival.cap,
+                            started: None,
+                            deadline: arrival.lane_deadline,
+                        });
+                        if PR::ENABLED {
+                            self.probe.admission(
+                                arrival.server,
+                                AdmissionVerdict::Accepted,
+                                self.now,
+                            );
+                            let depth = self.lanes[arrival.server].queue.len() as u64;
+                            self.probe.queue_depth(arrival.server, depth);
+                        }
+                    } else {
+                        if PR::ENABLED {
+                            self.probe.admission(
+                                arrival.server,
+                                AdmissionVerdict::Rejected,
+                                self.now,
+                            );
+                        }
+                        self.trace.push_outcome(outcome(
+                            &arrival,
+                            AperiodicFate::Rejected { at: self.now },
+                        ));
+                    }
+                }
+                None => self.orphans.push(index),
+            }
         }
-        if P::ENABLED {
-            self.probe
-                .admission(lane_index, AdmissionVerdict::Aborted, self.now);
+        // Periodic releases: pop due rate groups, release one job per
+        // member. Jobs of distinct tasks land in disjoint queues and the
+        // ready structures are order-insensitive within one instant, so
+        // group-pop order and per-task order coincide observationally.
+        while let Some(&Reverse((at, g))) = self.wheel.peek() {
+            if at > self.now {
+                break;
+            }
+            self.wheel.pop();
+            let g = g as usize;
+            let group = &sys.groups[g];
+            let activation = self.released[g];
+            for &m in &group.members {
+                let m = m as usize;
+                let task = &sys.tasks[m];
+                self.pending[m].push_back(PJob {
+                    activation,
+                    release: at,
+                    deadline: at + task.deadline,
+                    remaining: task.cost,
+                });
+                if PR::ENABLED {
+                    self.probe.release(self.now);
+                }
+                self.mark_ready(m);
+            }
+            self.released[g] = activation + 1;
+            let next = group.first + group.period.saturating_mul(activation + 1);
+            if next < sys.horizon() {
+                self.wheel.push(Reverse((next, g as u32)));
+            }
         }
-        let event = &spec.aperiodics[job.index];
-        self.trace
-            .push_outcome(outcome(event, AperiodicFate::Aborted { at: self.now }));
+        // Lane replenishments, in install order.
+        for (lane, table) in self.lanes.iter_mut().zip(self.statics.iter()) {
+            let queue_empty = lane.queue.is_empty();
+            lane.policy.replenish_due(table, self.now, queue_empty);
+        }
     }
 
     /// Applies every mode change due at the current instant whose lane is
-    /// quiescent — no in-service (started, unfinished) job in its queue.
-    /// Non-quiescent lanes keep their record pending and retry at the next
-    /// decision point; other lanes' records are not blocked (per-record
-    /// flags, not a cursor). Applying a record reconfigures the capacity
-    /// state ([`ServerState::reconfigure`]) and rebuilds the admission
-    /// machine from the updated spec — the already-admitted backlog is
-    /// grandfathered: it stays queued, owns no virtual plan entries, and is
-    /// never displaced by post-change arrivals. O(mode changes) per decision
-    /// point, zero when the plan has none.
+    /// quiescent — no in-service (started, unfinished) job in its queue; a
+    /// busy lane keeps its record pending and retries at the next decision
+    /// point. Applying a record rewrites the lane's run-local statics,
+    /// reconfigures its policy state and rebuilds the admission plan from
+    /// the updated spec. The admitted backlog is grandfathered: it stays
+    /// queued and is never displaced by post-change arrivals.
     fn apply_due_mode_changes(&mut self) {
-        let spec = self.spec;
-        if spec.faults.mode_changes.is_empty() {
+        let sys = self.sys;
+        if sys.spec().faults.mode_changes.is_empty() {
             return;
         }
-        for (k, change) in spec.faults.mode_changes.iter().enumerate() {
+        for (k, change) in sys.spec().faults.mode_changes.iter().enumerate() {
             if self.mode_applied[k] || change.at > self.now {
                 continue;
             }
-            let lane = &mut self.servers[change.server];
-            if lane.queue.iter().any(|job| job.started.is_some()) {
+            if self.lanes[change.server]
+                .queue
+                .iter()
+                .any(|job| job.started.is_some())
+            {
                 continue;
             }
-            lane.state.reconfigure(change);
-            lane.admission = ServerAdmission::for_server(&lane.state.spec);
+            let statics = &mut self.statics.to_mut()[change.server];
+            apply_mode_change(statics, change);
+            let lane = &mut self.lanes[change.server];
+            lane.policy.reconfigure(statics, change);
+            lane.admission = LaneAdmission::for_server(statics);
             self.mode_applied[k] = true;
-            if P::ENABLED {
+            if PR::ENABLED {
                 self.probe.mode_change(change.server, self.now);
             }
         }
     }
 
-    /// The next instant at which the scheduling decision could change.
-    ///
-    /// Indexed: O(1) — arrival cursor, release-heap peek, replenishment
-    /// field. Linear scan: O(t) sweep over every periodic task.
-    fn next_decision_point(&mut self) -> Instant {
-        let mut next = self.horizon;
-        if self.next_arrival < self.spec.aperiodics.len() {
-            next = next.min(self.spec.aperiodics[self.next_arrival].release);
+    /// Removes an admitted-but-displaced job from a lane's queue, recording
+    /// it aborted (the value-density drop rule). Mirrors the execution
+    /// engine's in-service exemption: a job the (resumable) server has
+    /// already started keeps its in-flight fate, exactly as the framework's
+    /// non-resumable dispatch removes a release from its queue when service
+    /// begins. Only never-started queue entries are dropped.
+    fn abort_pending(&mut self, lane_index: usize, event_id: EventId) {
+        let sys = self.sys;
+        let table = &self.statics[lane_index];
+        let lane = &mut self.lanes[lane_index];
+        let Some(position) = lane.queue.iter().position(|job| {
+            job.started.is_none() && sys.arrival(job.arrival as usize).id == event_id
+        }) else {
+            return;
+        };
+        let job = lane
+            .queue
+            .remove(position)
+            // rt-lint: allow(panic, reason = "the position was selected from this queue two lines above; losing it mid-dispatch is an engine bug worth a crash over a corrupted trace")
+            .expect("position came from the queue");
+        if lane.queue.is_empty() {
+            lane.policy.on_queue_emptied(table);
         }
-        if self.indexed {
-            // The peek is the true next release: every entry is live (see
-            // `process_due_events`) and the heap only holds entries below
-            // the horizon.
-            if let Some(&Reverse((at, i))) = self.releases.peek() {
-                debug_assert_eq!(self.periodic[i].next_release, at);
-                next = next.min(at);
-            }
-        } else {
-            for state in &self.periodic {
-                if state.next_release < self.horizon {
-                    next = next.min(state.next_release);
-                }
+        if PR::ENABLED {
+            self.probe
+                .admission(lane_index, AdmissionVerdict::Aborted, self.now);
+        }
+        self.trace.push_outcome(outcome(
+            &sys.arrival(job.arrival as usize),
+            AperiodicFate::Aborted { at: self.now },
+        ));
+    }
+
+    /// Next instant the scheduling decision could change: arrival cursor,
+    /// wheel peek, capacity-limited lane replenishments — all O(1) per
+    /// source (the capacity-limited test is const-folded per instantiation).
+    fn next_decision_point(&self) -> Instant {
+        let sys = self.sys;
+        let mut next = sys.horizon();
+        if self.next_arrival < sys.arrival_count {
+            next = next.min(sys.arrival_release(self.next_arrival));
+        }
+        if let Some(&Reverse((at, _))) = self.wheel.peek() {
+            next = next.min(at);
+        }
+        for lane in &self.lanes {
+            if lane.policy.is_capacity_limited() {
+                next = next.min(lane.policy.next_replenishment());
             }
         }
-        for lane in &self.servers {
-            if lane.state.is_capacity_limited() {
-                next = next.min(lane.state.next_replenishment());
-            }
-        }
-        for (k, change) in self.spec.faults.mode_changes.iter().enumerate() {
+        for (k, change) in sys.spec().faults.mode_changes.iter().enumerate() {
             if !self.mode_applied[k] && change.at > self.now {
                 next = next.min(change.at);
             }
         }
         next.max(self.now + Span::from_ticks(1))
-            .min(self.horizon.max(self.now + Span::from_ticks(1)))
+            .min(sys.horizon().max(self.now + Span::from_ticks(1)))
     }
 
-    /// Chooses the ready entity to run under the configured scheduling
-    /// policy: the highest-priority one under fixed priorities, the
-    /// earliest-deadline one under EDF (tasks by their front job's absolute
-    /// deadline, servers by their replenishment-derived deadline). Under
-    /// both policies ties go to servers before tasks, and to the earlier
-    /// install/scan index within each group — the seed's scan order,
-    /// generalised to N servers.
-    ///
-    /// Indexed: an O(S) sweep over the (few) server lanes plus an amortised
-    /// O(1) peek of the policy's task-ready heap — O(S + log t) per
-    /// decision, the promised O(log n) plus a constant per extra server.
-    /// Linear scan: O(S + t).
     fn pick_runner(&mut self) -> Option<Runner> {
-        match self.scheduling {
-            SchedulingPolicy::FixedPriority => self.pick_runner_fp(),
-            SchedulingPolicy::Edf => self.pick_runner_edf(),
+        if EDF {
+            self.pick_runner_edf()
+        } else {
+            self.pick_runner_fp()
         }
     }
 
     // rt-lint: zero-alloc
     fn pick_runner_fp(&mut self) -> Option<Runner> {
-        let mut best_server: Option<(Priority, usize)> = None;
-        for (s, lane) in self.servers.iter().enumerate() {
-            if !lane.state.is_ready(lane.queue.is_empty()) {
+        let mut best_server: Option<(u8, usize)> = None;
+        for (s, lane) in self.lanes.iter().enumerate() {
+            if !lane.is_ready() {
                 continue;
             }
-            let prio = lane.state.spec.priority;
+            let level = self.statics[s].priority.level();
             match best_server {
-                None => best_server = Some((prio, s)),
-                Some((p, _)) if prio.preempts(p) => best_server = Some((prio, s)),
+                None => best_server = Some((level, s)),
+                Some((p, _)) if level > p => best_server = Some((level, s)),
                 _ => {}
             }
         }
-        if self.indexed {
-            let top_task = loop {
-                match self.ready.peek() {
-                    None => break None,
-                    Some(&(prio, Reverse(i))) => {
-                        if self.has_pending[i] {
-                            debug_assert!(!self.periodic[i].pending.is_empty());
-                            break Some((prio, i));
-                        }
-                        self.ready.pop();
-                    }
-                }
-            };
-            match (best_server, top_task) {
-                (None, None) => None,
-                (Some((_, s)), None) => Some(Runner::Server(s)),
-                (None, Some((_, i))) => Some(Runner::Task(i)),
-                (Some((server_prio, s)), Some((prio, i))) => {
-                    if prio.preempts(server_prio) {
-                        Some(Runner::Task(i))
-                    } else {
-                        Some(Runner::Server(s))
-                    }
+        let top_task = self.ready.peek();
+        match (best_server, top_task) {
+            (None, None) => None,
+            (Some((_, s)), None) => Some(Runner::Server(s)),
+            (None, Some((_, i))) => Some(Runner::Task(i)),
+            (Some((server_level, s)), Some((level, i))) => {
+                // Strict preemption: equal priority goes to the server.
+                if level > server_level {
+                    Some(Runner::Task(i))
+                } else {
+                    Some(Runner::Server(s))
                 }
             }
-        } else {
-            let mut best: Option<(Priority, Runner)> =
-                best_server.map(|(p, s)| (p, Runner::Server(s)));
-            for (i, state) in self.periodic.iter().enumerate() {
-                if state.pending.is_empty() {
-                    continue;
-                }
-                let candidate = (state.task.priority, Runner::Task(i));
-                best = match best {
-                    None => Some(candidate),
-                    Some((p, _)) if candidate.0.preempts(p) => Some(candidate),
-                    other => other,
-                };
-            }
-            best.map(|(_, runner)| runner)
         }
     }
 
     // rt-lint: zero-alloc
     fn pick_runner_edf(&mut self) -> Option<Runner> {
-        // Server lanes are few and their deadlines are state-derived, so
-        // they are swept fresh every decision (no staleness to manage).
         let mut best_server: Option<(Instant, usize)> = None;
-        for (s, lane) in self.servers.iter().enumerate() {
-            if !lane.state.is_ready(lane.queue.is_empty()) {
+        for (s, lane) in self.lanes.iter().enumerate() {
+            if !lane.is_ready() {
                 continue;
             }
-            let deadline = lane.state.edf_deadline(self.now);
+            let deadline = lane.policy.edf_deadline(&self.statics[s], self.now);
             match best_server {
                 None => best_server = Some((deadline, s)),
                 Some((d, _)) if deadline < d => best_server = Some((deadline, s)),
                 _ => {}
             }
         }
-        let top_task = if self.indexed {
-            loop {
-                match self.ready_edf.peek() {
-                    None => break None,
-                    Some(&Reverse((deadline, i))) => {
-                        let live = self.has_pending[i]
-                            && self.periodic[i]
-                                .pending
-                                .front()
-                                .is_some_and(|job| job.deadline == deadline);
-                        if live {
-                            break Some((deadline, i));
-                        }
-                        self.ready_edf.pop();
+        let top_task = loop {
+            match self.ready_edf.peek() {
+                None => break None,
+                Some(&Reverse((deadline, i))) => {
+                    let live = self.has_pending[i]
+                        && self.pending[i]
+                            .front()
+                            .is_some_and(|job| job.deadline == deadline);
+                    if live {
+                        break Some((deadline, i));
                     }
+                    self.ready_edf.pop();
                 }
             }
-        } else {
-            let mut best: Option<(Instant, usize)> = None;
-            for (i, state) in self.periodic.iter().enumerate() {
-                let Some(job) = state.pending.front() else {
-                    continue;
-                };
-                match best {
-                    None => best = Some((job.deadline, i)),
-                    Some((d, _)) if job.deadline < d => best = Some((job.deadline, i)),
-                    _ => {}
-                }
-            }
-            best
         };
         match (best_server, top_task) {
             (None, None) => None,
             (Some((_, s)), None) => Some(Runner::Server(s)),
             (None, Some((_, i))) => Some(Runner::Task(i)),
             (Some((server_deadline, s)), Some((deadline, i))) => {
-                // Ties go to the server, the seed's scan order.
+                // Ties go to the server.
                 if deadline < server_deadline {
                     Some(Runner::Task(i))
                 } else {
@@ -868,35 +787,28 @@ impl<'a, P: Probe> Simulator<'a, P> {
         }
     }
 
-    /// Serves server `s`'s pending queue until the decision window closes.
-    /// Batched: completing a job strictly inside the window does not re-enter
-    /// the dispatcher — nothing becomes due before `next` and the priority
-    /// comparison that picked the server is unchanged, so as long as the
-    /// server is still ready the forced re-pick is skipped and the next job
-    /// is served directly.
+    /// Serves lane `s` until the window closes, capacity runs out or the
+    /// queue drains. The pick within the lane is its queue discipline,
+    /// re-evaluated per slice, so a newly arrived urgent job takes over at
+    /// the next dispatch.
     // rt-lint: zero-alloc
     fn run_server(&mut self, s: usize, next: Instant) {
+        let sys = self.sys;
         // A mode change deferred by the quiescence rule (due before this
         // window opened, lane busy then) may become applicable the moment a
         // job completes: force a dispatcher re-entry instead of batching on,
-        // so the batched and unbatched loops reconfigure at the same instant.
-        let deferred_change = self
-            .spec
+        // so the change lands at the instant the oracle applies it.
+        let deferred_change = sys
+            .spec()
             .faults
             .mode_changes
             .iter()
             .enumerate()
             .any(|(k, c)| !self.mode_applied[k] && c.server == s && c.at <= self.now);
-        let lane = &mut self.servers[s];
-        let discipline = lane.state.spec.discipline;
+        let table = &self.statics[s];
+        let lane = &mut self.lanes[s];
         loop {
-            // Which pending job the lane serves is the per-server queue
-            // discipline: the front (FIFO — the resumable textbook servers
-            // never need the implementation's cost skip) or the earliest
-            // absolute deadline, ties to the earlier arrival. The pick is
-            // re-evaluated per slice, so a newly arrived urgent job takes
-            // over at the next dispatch.
-            let position = match discipline {
+            let position = match table.discipline {
                 QueueDiscipline::FifoSkip => 0,
                 QueueDiscipline::DeadlineOrdered => {
                     let mut best = 0;
@@ -913,24 +825,19 @@ impl<'a, P: Probe> Simulator<'a, P> {
                 .get_mut(position)
                 // rt-lint: allow(panic, reason = "the lane is run only while its queue is non-empty; a silent fallback would corrupt the trace")
                 .expect("server runner requires pending work");
-            // Decision points strictly advance time (asserted in `run`): an
-            // inverted window is an engine bug, not a clamp.
             let window = next.since(self.now);
             let slice = job
                 .remaining
                 .min(job.cap_left)
-                .min(lane.state.max_slice())
+                .min(lane.policy.available())
                 .min(window);
-            debug_assert!(
-                !slice.is_zero(),
-                "the server was picked but cannot make progress"
-            );
-            let event = self.spec.aperiodics[job.index].id;
+            debug_assert!(!slice.is_zero(), "picked server cannot make progress");
+            let arrival = sys.arrival(job.arrival as usize);
             if job.started.is_none() {
                 job.started = Some(self.now);
             }
-            if P::ENABLED {
-                let unit = ExecUnit::Handler(event);
+            if PR::ENABLED {
+                let unit = ExecUnit::Handler(arrival.id);
                 if let Some(prev) = self.incomplete.take() {
                     if prev != unit {
                         self.probe.preemption(prev, self.now);
@@ -940,21 +847,20 @@ impl<'a, P: Probe> Simulator<'a, P> {
                 self.probe.slice(unit, self.now, self.now + slice);
             }
             self.trace
-                .push_segment(ExecUnit::Handler(event), self.now, self.now + slice);
+                .push_segment(ExecUnit::Handler(arrival.id), self.now, self.now + slice);
             job.remaining = job.remaining.minus(slice);
             job.cap_left = job.cap_left.minus(slice);
-            if P::ENABLED {
+            if PR::ENABLED {
                 self.incomplete = (!job.remaining.is_zero() && !job.cap_left.is_zero())
-                    .then_some(ExecUnit::Handler(event));
+                    .then_some(ExecUnit::Handler(arrival.id));
             }
-            lane.state.consume(slice, self.now);
+            lane.policy.consume(table, slice, self.now);
             self.now += slice;
             if job.remaining.is_zero() {
                 // rt-lint: allow(panic, reason = "a job only completes after executing, and execution records the start instant")
                 let started = job.started.expect("a completed job has started");
-                let spec_event = &self.spec.aperiodics[job.index];
                 self.trace.push_outcome(outcome(
-                    spec_event,
+                    &arrival,
                     AperiodicFate::Served {
                         started,
                         completed: self.now,
@@ -962,57 +868,48 @@ impl<'a, P: Probe> Simulator<'a, P> {
                 ));
                 lane.queue.remove(position);
                 if lane.queue.is_empty() {
-                    lane.state.on_queue_emptied(self.now);
+                    lane.policy.on_queue_emptied(table);
                 }
             } else if job.cap_left.is_zero() {
                 // Budget enforcement: the job exhausted its declared budget
                 // with work remaining — cut it off, surface the overrun as an
                 // abort and release its slot in the admission plan so
                 // equation-(5) stops charging for work that will never run.
-                if P::ENABLED {
+                if PR::ENABLED {
                     self.probe.cap_exhausted(s, self.now);
                 }
-                let spec_event = &self.spec.aperiodics[job.index];
                 self.trace
-                    .push_outcome(outcome(spec_event, AperiodicFate::Aborted { at: self.now }));
+                    .push_outcome(outcome(&arrival, AperiodicFate::Aborted { at: self.now }));
                 lane.queue.remove(position);
                 if lane.queue.is_empty() {
-                    lane.state.on_queue_emptied(self.now);
+                    lane.policy.on_queue_emptied(table);
                 }
-                lane.admission.on_abort(event, self.now);
+                if let LaneAdmission::Machine(machine) = &mut lane.admission {
+                    machine.on_abort(arrival.id, self.now);
+                }
             }
-            if !self.batch
-                || self.now >= next
-                || deferred_change
-                || !lane.state.is_ready(lane.queue.is_empty())
-            {
+            if self.now >= next || deferred_change || !lane.is_ready() {
                 break;
             }
         }
     }
 
-    /// Runs task `index`'s pending jobs until the decision window closes.
-    /// Batched under fixed priorities: a backlogged task whose job completes
-    /// strictly inside the window continues with its next pending job — no
-    /// other task or server state changed, so the dispatcher would
-    /// necessarily pick it again. Under EDF that shortcut does not hold (the
-    /// next pending job has a *later* deadline, so another ready entity may
-    /// now be the most urgent): a completion re-keys the task's ready entry
-    /// and re-enters the dispatcher instead.
+    /// Runs task `index` until the window closes or (under EDF) a completion
+    /// forces a re-pick.
     // rt-lint: zero-alloc
     fn run_task(&mut self, index: usize, next: Instant) {
-        let state = &mut self.periodic[index];
+        let task = &self.sys.tasks[index];
+        let queue = &mut self.pending[index];
         loop {
-            let job = state
-                .pending
+            let job = queue
                 .front_mut()
                 // rt-lint: allow(panic, reason = "the task runner is entered only while the task has pending jobs")
                 .expect("task runner requires pending work");
             let window = next.since(self.now);
             let slice = job.remaining.min(window);
             debug_assert!(!slice.is_zero());
-            if P::ENABLED {
-                let unit = ExecUnit::Task(state.task.id);
+            if PR::ENABLED {
+                let unit = ExecUnit::Task(task.id);
                 if let Some(prev) = self.incomplete.take() {
                     if prev != unit {
                         self.probe.preemption(prev, self.now);
@@ -1022,69 +919,63 @@ impl<'a, P: Probe> Simulator<'a, P> {
                 self.probe.slice(unit, self.now, self.now + slice);
             }
             self.trace
-                .push_segment(ExecUnit::Task(state.task.id), self.now, self.now + slice);
+                .push_segment(ExecUnit::Task(task.id), self.now, self.now + slice);
             job.remaining = job.remaining.minus(slice);
-            if P::ENABLED && !job.remaining.is_zero() {
-                self.incomplete = Some(ExecUnit::Task(state.task.id));
+            if PR::ENABLED && !job.remaining.is_zero() {
+                self.incomplete = Some(ExecUnit::Task(task.id));
             }
             self.now += slice;
             if job.remaining.is_zero() {
+                let done = *job;
                 self.trace.push_periodic_job(PeriodicJobRecord {
-                    task: state.task.id,
-                    activation: job.activation,
-                    release: job.release,
-                    deadline: job.deadline,
+                    task: task.id,
+                    activation: done.activation,
+                    release: done.release,
+                    deadline: done.deadline,
                     completed: Some(self.now),
                 });
-                state.pending.pop_front();
-                if state.pending.is_empty() {
-                    // Mark the task idle; its ready-heap entry drops lazily.
+                queue.pop_front();
+                if queue.is_empty() {
                     self.has_pending[index] = false;
-                    break;
-                }
-                if self.scheduling == SchedulingPolicy::Edf {
-                    // Re-key the ready entry to the new front job's deadline
-                    // and force a dispatcher re-entry.
-                    if self.indexed {
-                        let deadline = state
-                            .pending
-                            .front()
-                            // rt-lint: allow(panic, reason = "the queue was checked non-empty in the branch condition just above")
-                            .expect("non-empty checked above")
-                            .deadline;
-                        self.ready_edf.push(Reverse((deadline, index)));
+                    if !EDF {
+                        self.ready.clear(task.priority.level(), index);
                     }
                     break;
                 }
+                if EDF {
+                    // Re-key to the new front deadline and force a re-pick.
+                    // rt-lint: allow(panic, reason = "the queue was checked non-empty in the branch condition just above")
+                    let deadline = queue.front().expect("non-empty checked above").deadline;
+                    self.ready_edf.push(Reverse((deadline, index)));
+                    break;
+                }
             }
-            if !self.batch || self.now >= next {
+            if self.now >= next {
                 break;
             }
         }
     }
 
-    /// Records the fate of everything that did not finish within the horizon.
     fn finalise(&mut self) {
-        // Anything still queued (or partially served) is unserved; events
-        // released before the horizon but never enqueued do not exist here
-        // because every arrival strictly before the horizon is a decision
-        // point processed by the loop.
-        for lane in &mut self.servers {
+        let sys = self.sys;
+        for lane in &mut self.lanes {
             for job in lane.queue.drain(..) {
-                let event = &self.spec.aperiodics[job.index];
-                self.trace
-                    .push_outcome(outcome(event, AperiodicFate::Unserved));
+                self.trace.push_outcome(outcome(
+                    &sys.arrival(job.arrival as usize),
+                    AperiodicFate::Unserved,
+                ));
             }
         }
         for index in std::mem::take(&mut self.orphans) {
-            let event = &self.spec.aperiodics[index];
-            self.trace
-                .push_outcome(outcome(event, AperiodicFate::Unserved));
+            self.trace.push_outcome(outcome(
+                &sys.arrival(index as usize),
+                AperiodicFate::Unserved,
+            ));
         }
-        for state in &mut self.periodic {
-            for job in state.pending.drain(..) {
+        for (i, queue) in self.pending.iter_mut().enumerate() {
+            for job in queue.drain(..) {
                 self.trace.push_periodic_job(PeriodicJobRecord {
-                    task: state.task.id,
+                    task: sys.tasks[i].id,
                     activation: job.activation,
                     release: job.release,
                     deadline: job.deadline,
@@ -1097,21 +988,23 @@ impl<'a, P: Probe> Simulator<'a, P> {
     }
 }
 
-/// Convenience wrapper: simulates the same traffic under a different server
-/// policy (applied to every server of the system) without rebuilding the
-/// whole specification.
-pub fn simulate_with_policy(spec: &SystemSpec, policy: ServerPolicyKind) -> Trace {
-    let mut spec = spec.clone();
-    for server in &mut spec.servers {
-        server.policy = policy;
+/// Builds the outcome record of one frozen arrival.
+fn outcome(arrival: &ArrivalTable, fate: AperiodicFate) -> AperiodicOutcome {
+    AperiodicOutcome {
+        event: arrival.id,
+        release: arrival.release,
+        declared_cost: arrival.declared_cost,
+        value: arrival.value,
+        deadline: arrival.deadline,
+        fate,
     }
-    simulate(&spec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rt_model::{Priority, ServerSpec, SystemSpec};
+    use crate::reference::simulate_reference;
+    use rt_model::Priority;
 
     /// The paper's Table 1 task set with a configurable server policy and
     /// aperiodic traffic.
@@ -1325,14 +1218,12 @@ mod tests {
     }
 
     #[test]
-    fn edf_simulation_modes_agree() {
-        // indexed vs reference vs unbatched must stay bit-identical under
-        // EDF, servers included.
+    fn edf_simulation_agrees_with_the_oracle() {
+        // The driver and the oracle must stay bit-identical under EDF,
+        // servers included.
         let mut spec = table1(ServerPolicyKind::Deferrable, 3, &[(1, 2), (5, 3), (13, 2)]);
         spec.scheduling = rt_model::SchedulingPolicy::Edf;
-        let indexed = simulate(&spec).render_canonical();
-        assert_eq!(indexed, simulate_reference(&spec).render_canonical());
-        assert_eq!(indexed, simulate_unbatched(&spec).render_canonical());
+        assert_eq!(simulate(&spec), simulate_reference(&spec));
     }
 
     #[test]
@@ -1414,11 +1305,7 @@ mod tests {
             vec![0, 2, 1],
             "deadline order serves the urgent event first"
         );
-        // Both modes agree with the reference engine.
-        assert_eq!(
-            simulate(&edd).render_canonical(),
-            simulate_reference(&edd).render_canonical()
-        );
+        assert_eq!(edd_trace, simulate_reference(&edd));
     }
 
     #[test]
@@ -1451,9 +1338,7 @@ mod tests {
         );
         assert_eq!(response_of(&trace, 1), Some(Span::from_units(2)));
         assert!(trace.all_periodic_deadlines_met());
-        let canonical = trace.render_canonical();
-        assert_eq!(canonical, simulate_reference(&spec).render_canonical());
-        assert_eq!(canonical, simulate_unbatched(&spec).render_canonical());
+        assert_eq!(trace, simulate_reference(&spec));
     }
 
     #[test]
@@ -1509,9 +1394,7 @@ mod tests {
             (segs[1].start, segs[1].end),
             (Instant::from_units(12), Instant::from_units(13))
         );
-        let canonical = trace.render_canonical();
-        assert_eq!(canonical, simulate_reference(&spec).render_canonical());
-        assert_eq!(canonical, simulate_unbatched(&spec).render_canonical());
+        assert_eq!(trace, simulate_reference(&spec));
     }
 
     #[test]
@@ -1532,9 +1415,7 @@ mod tests {
                 completed: Instant::from_units(7),
             }
         );
-        let canonical = trace.render_canonical();
-        assert_eq!(canonical, simulate_reference(&spec).render_canonical());
-        assert_eq!(canonical, simulate_unbatched(&spec).render_canonical());
+        assert_eq!(trace, simulate_reference(&spec));
     }
 
     #[test]

@@ -5,13 +5,20 @@
 //! which can simulate the execution of a real-time system and display a
 //! temporal diagram of the simulated execution".
 //!
-//! * [`engine::simulate`] — preemptive fixed-priority simulation with a
-//!   literature-exact Polling, Deferrable or Background server (the policies
-//!   "described in literature: this is not a simulation of our
-//!   implementations"), producing a [`rt_model::Trace`];
+//! * [`simulate`] — preemptive fixed-priority or EDF simulation with
+//!   literature-exact Polling, Deferrable, Background or Sporadic servers
+//!   (the policies "described in literature: this is not a simulation of
+//!   our implementations"), producing a [`rt_model::Trace`]. It freezes the
+//!   spec into [`SimTables`] and runs the crate's one decision loop, the
+//!   table-driven driver of [`engine`];
+//! * [`simulate_reference`] — the naive linear-scan oracle the driver is
+//!   checked against, byte for byte;
 //! * [`dynamic::simulate_dynamic`] — the EDF and D-OVER policies of the RTSS
-//!   policy menu;
+//!   policy menu for server-less aperiodic traffic;
 //! * [`gantt`] — ASCII and SVG temporal diagrams.
+//!
+//! The server-policy capacity rules exist once, in the crate-private
+//! `policy` module, and both loops run them.
 //!
 //! ```
 //! use rt_model::{Instant, Priority, ServerPolicyKind, ServerSpec, Span, SystemSpec};
@@ -25,6 +32,7 @@
 //!
 //! let trace = rtss_sim::simulate(&spec);
 //! assert!(trace.outcomes[0].is_served());
+//! assert_eq!(trace, rtss_sim::simulate_reference(&spec));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -33,16 +41,15 @@
 pub mod dynamic;
 pub mod engine;
 pub mod gantt;
-pub mod server;
+mod policy;
+mod reference;
+mod tables;
 
 pub use dynamic::{simulate_dynamic, DynamicPolicy};
-pub use engine::{
-    simulate, simulate_reference, simulate_unbatched, simulate_with_policy, simulate_with_probe,
-};
+pub use engine::{simulate, simulate_with_policy, simulate_with_probe};
 pub use gantt::{render_ascii, render_svg, GanttOptions};
-pub use server::{
-    BackgroundPolicy, DeferrablePolicy, PollingPolicy, ServerPolicy, ServerState, SporadicPolicy,
-};
+pub use reference::simulate_reference;
+pub use tables::{ReleaseGroup, SimTables, TaskTable};
 
 #[cfg(test)]
 mod proptests {

@@ -5,7 +5,8 @@
 //! 1. **AcceptAll is invisible** — stamping the default admission policy on
 //!    a system (even one carrying deadlines and value tags) produces traces
 //!    byte-identical to the unstamped system across the whole engine matrix
-//!    (scheduler × batching × queue × scheduling), on both engines. Together
+//!    (scheduler × queue × scheduling, engine and oracle), on both engines.
+//!    Together
 //!    with the 53 pre-admission goldens this proves the admission layer
 //!    reduces to today's behaviour when switched off.
 //! 2. **Cross-engine decision identity** — `DeadlinePredictive` decisions
@@ -23,8 +24,11 @@ use rtsj_event_framework::model::{
     AdmissionPolicy, Instant, Priority, SchedulingPolicy, ServerSpec, Span, SystemSpec, Trace,
 };
 use rtsj_event_framework::rtsj::SchedulerKind;
-use rtsj_event_framework::simulator::{simulate, simulate_reference, simulate_unbatched};
+use rtsj_event_framework::simulator::{simulate, simulate_reference};
 use rtsj_event_framework::taskserver::{execute, ExecutionConfig, QueueKind};
+
+mod common;
+use common::traces::assert_traces_eq;
 
 /// A sustained 4× overload burst into a polling server: server bandwidth
 /// 5/10 = 0.5, arrival bandwidth one cost-2 event per unit = 2.0. Every
@@ -112,27 +116,23 @@ fn accept_all_reduces_byte_identically_across_the_engine_matrix() {
         for server in &mut unstamped.servers {
             server.admission = AdmissionPolicy::default();
         }
-        // Execution matrix: scheduler × batching × queue.
+        // Execution matrix: scheduler × queue.
         for scheduler in [SchedulerKind::Indexed, SchedulerKind::LinearScan] {
-            for batching in [true, false] {
-                for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-                    let config = ExecutionConfig::reference()
-                        .with_scheduler(scheduler)
-                        .with_queue(queue)
-                        .with_batching(batching);
-                    assert_eq!(
-                        execute(&stamped, &config).render_canonical(),
-                        execute(&unstamped, &config).render_canonical(),
-                        "{scheduling:?}/{scheduler:?}/batching={batching}/{queue:?}"
-                    );
-                }
+            for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
+                let config = ExecutionConfig::reference()
+                    .with_scheduler(scheduler)
+                    .with_queue(queue);
+                assert_eq!(
+                    execute(&stamped, &config).render_canonical(),
+                    execute(&unstamped, &config).render_canonical(),
+                    "{scheduling:?}/{scheduler:?}/{queue:?}"
+                );
             }
         }
-        // Simulation matrix: indexed, reference, unbatched.
+        // Simulation: engine and oracle.
         let reference = simulate(&unstamped).render_canonical();
         assert_eq!(simulate(&stamped).render_canonical(), reference);
         assert_eq!(simulate_reference(&stamped).render_canonical(), reference);
-        assert_eq!(simulate_unbatched(&stamped).render_canonical(), reference);
     }
 }
 
@@ -156,10 +156,8 @@ fn predictive_decisions_agree_across_engines_and_engine_modes() {
                 "{}: the burst must actually trigger rejections",
                 spec.name
             );
-            // Engine-internal mode matrix agrees too.
-            let indexed = simulate(&spec).render_canonical();
-            assert_eq!(indexed, simulate_reference(&spec).render_canonical());
-            assert_eq!(indexed, simulate_unbatched(&spec).render_canonical());
+            // Engine and oracle agree too.
+            assert_traces_eq(&spec.name, &simulate_reference(&spec), &simulate(&spec));
             for scheduler in [SchedulerKind::Indexed, SchedulerKind::LinearScan] {
                 for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
                     let config = ExecutionConfig::ideal()
@@ -290,7 +288,7 @@ fn value_density_displacement_is_recorded_and_pays_off() {
 /// byte-exactly on both engines (and their compiled counterparts).
 #[test]
 fn an_overrun_abort_releases_its_equation5_slot() {
-    use rtsj_event_framework::compile::{execute_compiled, simulate_compiled};
+    use rtsj_event_framework::compile::execute_compiled;
     use rtsj_event_framework::model::AperiodicFate;
 
     let mut b = SystemSpec::builder("abort-releases-slot");
@@ -313,10 +311,7 @@ fn an_overrun_abort_releases_its_equation5_slot() {
     let config = ExecutionConfig::ideal();
     let simulated = simulate(&spec);
     let executed = execute(&spec, &config);
-    assert_eq!(
-        simulated.render_canonical(),
-        simulate_compiled(&spec).render_canonical()
-    );
+    assert_traces_eq(&spec.name, &simulate_reference(&spec), &simulated);
     assert_eq!(
         executed.render_canonical(),
         execute_compiled(&spec, &config).render_canonical()

@@ -1,47 +1,34 @@
 //! Same-instant batching differential tests.
 //!
-//! The batched engines serve every job due inside one decision window from a
-//! single dispatcher entry (`rtss-sim`) and drain the event calendar once
-//! per instant (`rtsj-emu`). These tests pin the optimisation to the
-//! unbatched and linear-scan reference paths on workloads built around
-//! coincident work: bursts of ≥3 aperiodic events released at the same
-//! instant, releases colliding with server activations, and backlogged
-//! periodic tasks with several pending jobs in one window.
+//! The engines serve every job due inside one decision window from a single
+//! dispatcher entry (`rtss-sim`'s driver) and drain the event calendar once
+//! per instant (`rtsj-emu`'s indexed scheduler). These tests pin the
+//! optimisation to the one-job-per-dispatch oracles — `simulate_reference`
+//! and the linear-scan emulator — on workloads built around coincident
+//! work: bursts of ≥3 aperiodic events released at the same instant,
+//! releases colliding with server activations, and backlogged periodic
+//! tasks with several pending jobs in one window.
 
 use rtsj_event_framework::model::{
     Instant, Priority, ServerPolicyKind, ServerSpec, Span, SystemSpec,
 };
 use rtsj_event_framework::prelude::SchedulerKind;
-use rtsj_event_framework::simulator::{simulate, simulate_reference, simulate_unbatched};
+use rtsj_event_framework::simulator::{simulate, simulate_reference};
 use rtsj_event_framework::taskserver::{execute, ExecutionConfig};
 
-/// Asserts the batched, unbatched and linear-scan paths of both engines all
+mod common;
+use common::traces::assert_traces_eq;
+
+/// Asserts the batched engines and their one-job-per-dispatch oracles
 /// produce the same trace on `spec`.
 fn assert_batching_is_invisible(spec: &SystemSpec) {
-    let batched = simulate(spec);
-    let unbatched = simulate_unbatched(spec);
-    let reference = simulate_reference(spec);
-    assert_eq!(
-        batched.render_canonical(),
-        unbatched.render_canonical(),
-        "batched and unbatched simulations diverged on {}",
-        spec.name
-    );
-    assert_eq!(batched, unbatched, "simulation equality on {}", spec.name);
-    assert_eq!(batched, reference, "linear-scan equality on {}", spec.name);
-
+    assert_traces_eq(&spec.name, &simulate_reference(spec), &simulate(spec));
     for config in [ExecutionConfig::reference(), ExecutionConfig::ideal()] {
-        let exec_batched = execute(spec, &config);
-        let exec_unbatched = execute(spec, &config.with_batching(false));
-        let exec_scanned = execute(spec, &config.with_scheduler(SchedulerKind::LinearScan));
-        assert_eq!(
-            exec_batched.render_canonical(),
-            exec_unbatched.render_canonical(),
-            "batched and unbatched executions diverged on {}",
-            spec.name
+        assert_traces_eq(
+            &spec.name,
+            &execute(spec, &config.with_scheduler(SchedulerKind::LinearScan)),
+            &execute(spec, &config),
         );
-        assert_eq!(exec_batched, exec_unbatched);
-        assert_eq!(exec_batched, exec_scanned);
     }
 }
 

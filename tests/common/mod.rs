@@ -4,3 +4,4 @@
 
 pub mod invariants;
 pub mod specgen;
+pub mod traces;

@@ -1,61 +1,39 @@
-//! Compiled-vs-interpreted differential tests: the `rt-compile` specialized
-//! engines must produce byte-identical canonical traces to the interpreted
-//! oracles on every system shape — server policies × queue disciplines ×
-//! admission policies × scheduling policies, single- and multi-server,
-//! plus randomly generated systems — and the compiled execution path must
-//! agree with `rt_taskserver::execute` across scheduler/queue/batching
-//! configurations.
+//! Compiled-system differential tests. On the simulation side the
+//! simulator's driver — reached through both `rtss_sim::simulate` and
+//! `CompiledSystem::simulate` — must reproduce the naive
+//! `simulate_reference` oracle byte for byte on every system shape: server
+//! policies × queue disciplines × admission policies × scheduling policies,
+//! single- and multi-server, plus randomly generated systems. On the
+//! execution side the compiled ceiling-table fast path must agree with
+//! `rt_taskserver::execute` across scheduler/queue configurations.
 //!
-//! The interpreted engines are the semantic oracles (they stay untouched by
-//! the compilation pass); these tests pin the compiled fast paths — the
-//! monomorphized lane policies, the ready bitmap, the release-group wheel
-//! and the in-window re-pick — to their behaviour without relying on stored
-//! fixtures. The golden files additionally pin both to the recorded history.
+//! These tests pin the fast paths — the monomorphized lane policies, the
+//! ready bitmap, the release-group wheel, the in-window re-pick, the SRP
+//! ceiling tables — to the oracles without relying on stored fixtures. The
+//! golden files additionally pin them to the recorded history.
 
-use rtsj_event_framework::compile::{execute_compiled, simulate_compiled, CompiledSystem};
+use rtsj_event_framework::compile::{execute_compiled, CompiledSystem};
 use rtsj_event_framework::model::{
     AdmissionPolicy, Instant, Priority, QueueDiscipline, SchedulingPolicy, ServerPolicyKind,
     ServerSpec, Span, SystemSpec,
 };
 use rtsj_event_framework::prelude::SchedulerKind;
-use rtsj_event_framework::simulator::{simulate, simulate_reference, simulate_unbatched};
+use rtsj_event_framework::simulator::{simulate, simulate_reference};
 use rtsj_event_framework::sysgen::{GeneratorParams, RandomSystemGenerator};
 use rtsj_event_framework::taskserver::{execute, ExecutionConfig, QueueKind};
 
 mod common;
 use common::invariants::assert_trace_invariants;
+use common::traces::assert_traces_eq;
 
-/// Asserts the compiled simulation agrees byte-for-byte with every
-/// interpreted simulator mode.
+/// Asserts the simulator's driver, directly and through the compiled
+/// system, reproduces the oracle.
 fn assert_compiled_simulation_agrees(spec: &SystemSpec) {
-    let compiled = simulate_compiled(spec);
-    let interpreted = simulate(spec);
-    assert_eq!(
-        compiled.render_canonical(),
-        interpreted.render_canonical(),
-        "compiled and interpreted simulations diverged on {}",
-        spec.name
-    );
-    assert_eq!(
-        compiled, interpreted,
-        "trace equality mismatch on {}",
-        spec.name
-    );
-    // The other interpreted modes agree with `simulate` (pinned elsewhere),
-    // but assert directly so a compiled divergence names the mode.
-    assert_eq!(
-        compiled,
-        simulate_reference(spec),
-        "compiled vs linear-scan mismatch on {}",
-        spec.name
-    );
-    assert_eq!(
-        compiled,
-        simulate_unbatched(spec),
-        "compiled vs unbatched mismatch on {}",
-        spec.name
-    );
-    assert_trace_invariants(spec, &compiled);
+    let engine = simulate(spec);
+    assert_traces_eq(&spec.name, &simulate_reference(spec), &engine);
+    let compiled = CompiledSystem::compile(spec).expect("valid spec");
+    assert_traces_eq(&spec.name, &engine, &compiled.simulate());
+    assert_trace_invariants(spec, &engine);
 }
 
 /// Asserts the compiled execution plan agrees byte-for-byte with the direct
@@ -184,13 +162,10 @@ fn compiled_execution_matches_across_configurations() {
             );
             for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
                 for scheduler in [SchedulerKind::Indexed, SchedulerKind::LinearScan] {
-                    for batching in [true, false] {
-                        let config = ExecutionConfig::reference()
-                            .with_queue(queue)
-                            .with_scheduler(scheduler)
-                            .with_batching(batching);
-                        assert_compiled_execution_agrees(&spec, config);
-                    }
+                    let config = ExecutionConfig::reference()
+                        .with_queue(queue)
+                        .with_scheduler(scheduler);
+                    assert_compiled_execution_agrees(&spec, config);
                 }
             }
             assert_compiled_execution_agrees(&spec, ExecutionConfig::ideal());
@@ -218,7 +193,7 @@ fn compiled_execution_plan_is_reusable() {
 
 #[test]
 fn compiled_simulation_matches_on_multi_server_systems() {
-    // Mixed-policy lanes take the AnyLanePolicy fallback instantiation;
+    // Mixed-policy lanes take the driver's AnyLanePolicy instantiation;
     // same-priority lanes exercise the install-order tie-break.
     for scheduling in [SchedulingPolicy::FixedPriority, SchedulingPolicy::Edf] {
         let mut b = SystemSpec::builder("compiled-multi");
@@ -322,4 +297,40 @@ fn compiled_homogeneous_rate_groups_match() {
         let spec = b.build().unwrap();
         assert_compiled_simulation_agrees(&spec);
     }
+}
+
+#[test]
+fn trace_mismatches_are_reported_at_the_first_differing_record() {
+    let spec = system(
+        ServerPolicyKind::Polling,
+        QueueDiscipline::FifoSkip,
+        AdmissionPolicy::AcceptAll,
+        SchedulingPolicy::FixedPriority,
+        SCENARIOS[4],
+    );
+    let expected = simulate(&spec);
+    assert!(common::traces::first_divergence(&expected, &expected).is_ok());
+    let mut actual = expected.clone();
+    actual.segments[7].end += Span::from_ticks(1);
+    let report = common::traces::first_divergence(&expected, &actual).unwrap_err();
+    assert!(
+        report.starts_with("first differing segment at index 7 "),
+        "{report}"
+    );
+    // Both sides show the ±5-entry window around the divergence.
+    assert_eq!(report.matches("  > [7]").count(), 2, "{report}");
+    assert_eq!(report.matches("[2]").count(), 2, "{report}");
+    assert_eq!(report.matches("[12]").count(), 2, "{report}");
+    assert!(
+        !report.contains("[1]") && !report.contains("[13]"),
+        "{report}"
+    );
+
+    let mut actual = expected.clone();
+    actual.outcomes.pop();
+    let report = common::traces::first_divergence(&expected, &actual).unwrap_err();
+    assert!(
+        report.starts_with("first differing outcome at index "),
+        "{report}"
+    );
 }

@@ -5,8 +5,9 @@
 //! ready entity with the earliest absolute deadline is also the
 //! highest-priority one, with identical tie-breaks — the EDF trace must be
 //! byte-identical to the fixed-priority trace. The suite pins that reduction
-//! on both engines, pins EDF mode-agreement (indexed vs linear scan, batched
-//! vs unbatched, both queue structures), and exercises the cases where EDF
+//! on both engines, pins EDF agreement with the oracles (the simulator's
+//! driver vs `simulate_reference`, the indexed execution engine vs its
+//! linear scan, both queue structures), and exercises the cases where EDF
 //! *must* diverge from fixed priorities (deadline inversion, the classic
 //! U = 1 non-harmonic set).
 
@@ -15,9 +16,12 @@ use rtsj_event_framework::model::{
     SystemSpec,
 };
 use rtsj_event_framework::prelude::SchedulerKind;
-use rtsj_event_framework::simulator::{simulate, simulate_reference, simulate_unbatched};
+use rtsj_event_framework::simulator::{simulate, simulate_reference};
 use rtsj_event_framework::sysgen::{GeneratorParams, RandomSystemGenerator};
 use rtsj_event_framework::taskserver::{execute, ExecutionConfig, QueueKind};
+
+mod common;
+use common::traces::assert_traces_eq;
 
 /// The Table 1 shape: server + two tasks, all on period 6 with implicit
 /// deadlines and priorities descending in spawn order — the deadline order
@@ -208,39 +212,19 @@ fn edf_systems(policy: ServerPolicyKind, seed: u64, count: usize) -> Vec<SystemS
         .generate()
 }
 
-/// Every engine mode must agree on one EDF spec: indexed vs linear-scan,
-/// batched vs unbatched, both queue structures, both engines.
+/// Both engines must agree with their oracles on one EDF spec: the
+/// simulator's driver vs `simulate_reference`, and the indexed execution
+/// engine vs its linear scan on both queue structures.
 fn assert_edf_modes_agree(spec: &SystemSpec) {
     assert_eq!(spec.scheduling, SchedulingPolicy::Edf);
-    let sim = simulate(spec).render_canonical();
-    assert_eq!(
-        sim,
-        simulate_reference(spec).render_canonical(),
-        "EDF simulate vs simulate_reference diverged on {}",
-        spec.name
-    );
-    assert_eq!(
-        sim,
-        simulate_unbatched(spec).render_canonical(),
-        "EDF simulate vs simulate_unbatched diverged on {}",
-        spec.name
-    );
+    assert_traces_eq(&spec.name, &simulate_reference(spec), &simulate(spec));
     for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
         let base = ExecutionConfig::reference().with_queue(queue);
-        let indexed = execute(spec, &base).render_canonical();
-        for config in [
-            base.with_scheduler(SchedulerKind::LinearScan),
-            base.with_batching(false),
-            base.with_scheduler(SchedulerKind::LinearScan)
-                .with_batching(false),
-        ] {
-            assert_eq!(
-                indexed,
-                execute(spec, &config).render_canonical(),
-                "EDF execution modes diverged on {} ({queue:?})",
-                spec.name
-            );
-        }
+        assert_traces_eq(
+            &format!("{} ({queue:?})", spec.name),
+            &execute(spec, &base.with_scheduler(SchedulerKind::LinearScan)),
+            &execute(spec, &base),
+        );
     }
 }
 
@@ -323,10 +307,6 @@ fn deadline_ordered_execution_reorders_service_and_modes_agree() {
         assert_eq!(
             indexed,
             execute(&spec, &base.with_scheduler(SchedulerKind::LinearScan)).render_canonical()
-        );
-        assert_eq!(
-            indexed,
-            execute(&spec, &base.with_batching(false)).render_canonical()
         );
     }
 }

@@ -6,9 +6,9 @@
 //! faults and mode changes — and pins the engine pairs that are locked
 //! byte-identical to each other:
 //!
-//! * **simulation world** — `simulate`, `simulate_reference`,
-//!   `simulate_unbatched` and the compiled `simulate_compiled` must render
-//!   identical canonical traces;
+//! * **simulation world** — the engine (`simulate`) must reproduce the
+//!   naive oracle (`simulate_reference`) trace for trace; a divergence is
+//!   reported at its first differing record;
 //! * **execution world** — `execute` (indexed and linear-scan schedulers)
 //!   and the compiled `execute_compiled` must render identical canonical
 //!   traces per configuration.
@@ -25,14 +25,15 @@
 //! then dropping fault records and periodic tasks — and the minimal
 //! reproducer is printed with its seed and the divergence.
 
-use rtsj_event_framework::compile::{execute_compiled, simulate_compiled};
+use rtsj_event_framework::compile::execute_compiled;
 use rtsj_event_framework::model::SystemSpec;
 use rtsj_event_framework::prelude::SchedulerKind;
-use rtsj_event_framework::simulator::{simulate, simulate_reference, simulate_unbatched};
+use rtsj_event_framework::simulator::{simulate, simulate_reference};
 use rtsj_event_framework::taskserver::{execute, ExecutionConfig};
 
 mod common;
 use common::invariants::check_trace_invariants;
+use common::traces::first_divergence;
 
 const DEFAULT_CASES: usize = 200;
 const DEFAULT_SEED: u64 = 1983;
@@ -49,18 +50,11 @@ use common::specgen::random_spec;
 /// Runs one spec through both worlds; returns the first divergence or
 /// invariant violation.
 fn check_case(spec: &SystemSpec) -> Result<(), String> {
-    let reference = simulate(spec);
-    let canonical = reference.render_canonical();
-    for (label, trace) in [
-        ("simulate_reference", simulate_reference(spec)),
-        ("simulate_unbatched", simulate_unbatched(spec)),
-        ("simulate_compiled", simulate_compiled(spec)),
-    ] {
-        if trace.render_canonical() != canonical {
-            return Err(format!("simulation world diverged: simulate vs {label}"));
-        }
-    }
-    check_trace_invariants(spec, &reference)?;
+    let engine = simulate(spec);
+    first_divergence(&simulate_reference(spec), &engine).map_err(|report| {
+        format!("simulation world diverged: simulate_reference vs simulate\n{report}")
+    })?;
+    check_trace_invariants(spec, &engine)?;
 
     for config in [ExecutionConfig::reference(), ExecutionConfig::ideal()] {
         let indexed = execute(spec, &config.with_scheduler(SchedulerKind::Indexed));

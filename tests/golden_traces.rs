@@ -14,13 +14,20 @@
 //! path so fixture provenance stays with the seed implementation, and an
 //! unreviewed golden update defeats the tests.
 
-use rtsj_event_framework::compile::{execute_compiled, simulate_compiled};
+use rtsj_event_framework::compile::{execute_compiled, CompiledSystem};
 use rtsj_event_framework::model::{
-    Instant, Priority, ServerPolicyKind, ServerSpec, Span, SystemSpec,
+    Instant, Priority, ServerPolicyKind, ServerSpec, Span, SystemSpec, Trace,
 };
 use rtsj_event_framework::rtsj::SchedulerKind;
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
 use rtsj_event_framework::taskserver::{execute, ExecutionConfig, QueueKind};
+
+/// The simulator's driver on a compiled system's frozen tables.
+fn compiled_simulation(spec: &SystemSpec) -> Trace {
+    CompiledSystem::compile(spec)
+        .expect("golden specs are valid")
+        .simulate()
+}
 
 /// The three figure scenarios' traffic: (release, actual cost, declared cost).
 fn scenario_events(scenario: u32) -> &'static [(u64, u64, Option<u64>)] {
@@ -477,7 +484,7 @@ fn compiled_traces_match_goldens() {
         ] {
             let spec = system(scenario, policy);
             let reference = simulate_reference(&spec);
-            let compiled = simulate_compiled(&spec);
+            let compiled = compiled_simulation(&spec);
             check_golden(
                 &format!("compiled_sim_s{scenario}_{policy:?}").to_lowercase(),
                 &reference.render_canonical(),
@@ -508,7 +515,7 @@ fn compiled_traces_match_goldens() {
         check_golden(
             &format!("compiled_sim_multi{n}"),
             &simulate_reference(&spec).render_canonical(),
-            &simulate_compiled(&spec).render_canonical(),
+            &compiled_simulation(&spec).render_canonical(),
         );
         let config = ExecutionConfig::reference();
         check_golden(
@@ -631,7 +638,7 @@ fn fault_simulations_match_goldens() {
         );
         assert_eq!(
             reference.render_canonical(),
-            simulate_compiled(&spec).render_canonical(),
+            compiled_simulation(&spec).render_canonical(),
             "compiled simulation diverged from fault golden {name}"
         );
     }

@@ -7,12 +7,13 @@
 //!
 //! * **transparency** — canonical traces are byte-identical with `NoopProbe`
 //!   vs a recording [`MetricsProbe`] across the scheduler × admission ×
-//!   server-policy matrix, on all three engines (interpreted simulator,
-//!   compiled drivers, execution world);
-//! * **cross-engine agreement** — the interpreted and compiled simulation
-//!   engines report *identical* [`MetricsProbe`] contents (same hook sites,
-//!   same call counts, same virtual-time arguments) whenever their traces
-//!   agree — which the differential suites pin as "always";
+//!   server-policy matrix, on the simulator (through `simulate_with_probe`
+//!   and through a compiled system) and the execution world;
+//! * **entry-point agreement** — the simulator's driver reports
+//!   *identical* [`MetricsProbe`] contents (same hook sites, same call
+//!   counts, same virtual-time arguments) whether it runs on freshly frozen
+//!   tables (`simulate_with_probe`) or on a compiled system's retained ones
+//!   (`CompiledSystem::simulate_with_probe`);
 //! * **fuzz extension** — the same seeded generator the cross-engine fuzzer
 //!   uses (`tests/common/specgen.rs`) drives randomized transparency and
 //!   agreement checks, so the matrix keeps covering whatever the fuzz
@@ -23,7 +24,7 @@
 //! phases, calendar fires) is structurally different, so its counter stream
 //! is its own reference.
 
-use rtsj_event_framework::compile::{simulate_compiled, simulate_compiled_with_probe};
+use rtsj_event_framework::compile::CompiledSystem;
 use rtsj_event_framework::model::{
     AdmissionPolicy, Instant, Priority, SchedulingPolicy, ServerPolicyKind, ServerSpec, Span,
     SystemSpec,
@@ -111,15 +112,16 @@ fn assert_probe_transparent(spec: &SystemSpec) {
     assert_eq!(
         simulate(spec).render_canonical(),
         simulate_with_probe(spec, &mut probe).render_canonical(),
-        "{}: interpreted simulator changed under observation",
+        "{}: simulator changed under observation",
         spec.name
     );
 
+    let compiled = compile(spec);
     let mut probe = MetricsProbe::new();
     assert_eq!(
-        simulate_compiled(spec).render_canonical(),
-        simulate_compiled_with_probe(spec, &mut probe).render_canonical(),
-        "{}: compiled simulator changed under observation",
+        compiled.simulate().render_canonical(),
+        compiled.simulate_with_probe(&mut probe).render_canonical(),
+        "{}: compiled system's simulation changed under observation",
         spec.name
     );
 
@@ -137,25 +139,29 @@ fn assert_probe_transparent(spec: &SystemSpec) {
     }
 }
 
-/// Asserts the interpreted and compiled simulators report identical probe
+fn compile(spec: &SystemSpec) -> CompiledSystem<'_> {
+    CompiledSystem::compile(spec).expect("probe specs are valid")
+}
+
+/// Asserts the simulator's two entry points report identical probe
 /// contents (counters and every histogram) for `spec`.
 fn assert_sim_engines_agree(spec: &SystemSpec) {
-    let mut interpreted = MetricsProbe::new();
-    let trace_i = simulate_with_probe(spec, &mut interpreted);
+    let mut fresh = MetricsProbe::new();
+    let trace_i = simulate_with_probe(spec, &mut fresh);
     let mut compiled = MetricsProbe::new();
-    let trace_c = simulate_compiled_with_probe(spec, &mut compiled);
+    let trace_c = compile(spec).simulate_with_probe(&mut compiled);
     assert_eq!(
         trace_i.render_canonical(),
         trace_c.render_canonical(),
         "{}: engines diverged before metrics were compared",
         spec.name
     );
-    interpreted.absorb_trace(&trace_i);
+    fresh.absorb_trace(&trace_i);
     compiled.absorb_trace(&trace_c);
     assert_eq!(
-        interpreted, compiled,
-        "{}: identical traces but different probe contents — a hook site \
-         drifted between the interpreted and compiled engines",
+        fresh, compiled,
+        "{}: identical traces but different probe contents — the hook \
+         stream depends on how the tables were frozen",
         spec.name
     );
 }

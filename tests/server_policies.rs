@@ -1,15 +1,20 @@
 //! Differential and property tests for the server-policy layer: Sporadic
-//! Server and multi-server systems on both engines, batched and unbatched,
-//! indexed and linear-scan, plus the N=1 reduction property — a multi-server
-//! system with a single server produces exactly the single-server trace.
+//! Server and multi-server systems on both engines against their oracles
+//! (the simulator's driver vs `simulate_reference`, the indexed execution
+//! engine vs its linear scan), plus the N=1 reduction property — a
+//! multi-server system with a single server produces exactly the
+//! single-server trace.
 
 use rtsj_event_framework::model::{
     Instant, Priority, ServerPolicyKind, ServerSpec, Span, SystemSpec,
 };
 use rtsj_event_framework::prelude::SchedulerKind;
-use rtsj_event_framework::simulator::{simulate, simulate_reference, simulate_unbatched};
+use rtsj_event_framework::simulator::{simulate, simulate_reference};
 use rtsj_event_framework::sysgen::{ExtraServer, GeneratorParams, RandomSystemGenerator};
 use rtsj_event_framework::taskserver::{execute, ExecutionConfig, QueueKind};
+
+mod common;
+use common::traces::assert_traces_eq;
 
 /// Seeded generator of multi-server systems over the paper's traffic
 /// parameters: primary policy + `extras` servers, events routed uniformly.
@@ -33,40 +38,18 @@ fn multi_server_systems(
         .generate()
 }
 
-/// Every engine mode must agree on one spec: indexed vs linear-scan,
-/// batched vs unbatched, for both the execution and the simulation paths.
+/// Both engines must agree with their oracles on one spec: the simulator's
+/// driver vs `simulate_reference`, and the indexed execution engine vs its
+/// linear scan on both queue structures.
 fn assert_all_modes_agree(spec: &SystemSpec) {
-    // Simulation: indexed, reference (linear scan) and unbatched.
-    let sim = simulate(spec).render_canonical();
-    assert_eq!(
-        sim,
-        simulate_reference(spec).render_canonical(),
-        "simulate vs simulate_reference diverged on {}",
-        spec.name
-    );
-    assert_eq!(
-        sim,
-        simulate_unbatched(spec).render_canonical(),
-        "simulate vs simulate_unbatched diverged on {}",
-        spec.name
-    );
-    // Execution: scheduler × batching, both queue structures.
+    assert_traces_eq(&spec.name, &simulate_reference(spec), &simulate(spec));
     for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
         let base = ExecutionConfig::reference().with_queue(queue);
-        let indexed = execute(spec, &base).render_canonical();
-        for config in [
-            base.with_scheduler(SchedulerKind::LinearScan),
-            base.with_batching(false),
-            base.with_scheduler(SchedulerKind::LinearScan)
-                .with_batching(false),
-        ] {
-            assert_eq!(
-                indexed,
-                execute(spec, &config).render_canonical(),
-                "execution modes diverged on {} ({queue:?})",
-                spec.name
-            );
-        }
+        assert_traces_eq(
+            &format!("{} ({queue:?})", spec.name),
+            &execute(spec, &base.with_scheduler(SchedulerKind::LinearScan)),
+            &execute(spec, &base),
+        );
     }
 }
 
@@ -77,9 +60,9 @@ fn sporadic_server_traces_agree_across_every_engine_mode() {
     }
 }
 
-/// The batching × scheduler × queue matrix, extended across the scheduling
+/// The engine-vs-oracle × queue matrix, extended across the scheduling
 /// policy and queue-service discipline dimensions: every combination must
-/// produce the same trace as its indexed/batched sibling.
+/// produce its oracle's trace.
 #[test]
 fn scheduling_and_discipline_matrix_agrees_across_engine_modes() {
     use rtsj_event_framework::model::{QueueDiscipline, SchedulingPolicy};
