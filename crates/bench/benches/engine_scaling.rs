@@ -1,14 +1,14 @@
-//! Scaling benchmark for the two execution substrates.
+//! Scaling benchmark for the two worlds' decision loops.
 //!
 //! Sweeps the system size (periodic task count and aperiodic timer count,
-//! 3 → 300) and the horizon (10³ → 10⁶ time units), comparing the indexed
-//! engines against the linear-scan reference implementations
-//! (`SchedulerKind::LinearScan` in `rtsj-emu`, the `simulate_reference`
-//! oracle in `rtss-sim`).
+//! 3 → 300) and the horizon (10³ → 10⁶ time units), comparing each world's
+//! table-driven driver against its naive reference oracle
+//! (`execute_reference` in `rt-taskserver`, `simulate_reference` in
+//! `rtss-sim`).
 //!
 //! Besides the criterion measurements, the run prints a per-decision cost
-//! and speedup summary; the 300-task row is the acceptance gate for the
-//! indexed-engine refactor (≥5× vs the linear scan for both engines).
+//! and speedup summary; the 300-task row is the acceptance gate (≥5× vs the
+//! oracle for both worlds).
 //!
 //! Three further sweeps ride along:
 //!
@@ -20,12 +20,11 @@
 //!   horizons 10³..10⁴; with the indexed pending queue the cost is linear
 //!   in the horizon (run just this sweep with
 //!   `cargo bench -p rt-bench --bench engine_scaling -- overload`);
-//! * **interpreted vs compiled** — the execution emulator's general loop
-//!   against `rt-compile`'s ceiling-table fast path
-//!   (`ExecutionPlan::run_with_substrate`) at the 300-task scaling point
-//!   (`-- compiled` runs just this sweep); the simulator has one driver, so
-//!   there is no simulation pair. The summary is persisted to
-//!   `BENCH_engine_scaling.json` at the repository root on every run;
+//! * **driver vs reference** — the execution driver against the naive
+//!   `rtsj-emu` oracle at the 300-task scaling point, persisted as the
+//!   `scaling` trajectory group. Every summary is persisted to
+//!   `BENCH_engine_scaling.json` at the repository root on every run
+//!   (whatever the criterion filter, e.g. CI's `-- compiled`);
 //! * **compile cost** — `CompiledSystem::compile` over a fixed 30-task
 //!   structure while the aperiodic event count sweeps 10²..10⁵
 //!   (`-- compile_cost` runs just this sweep); the interned zero-copy
@@ -58,8 +57,7 @@ use rt_model::{
     Instant, ModeChange, Priority, SchedulingPolicy, ServerPolicyKind, ServerSpec, Span, SystemSpec,
 };
 use rt_observe::MetricsProbe;
-use rt_taskserver::{execute, execute_with_probe, ExecutionConfig};
-use rtsj_emu::SchedulerKind;
+use rt_taskserver::{execute, execute_reference, execute_with_probe, ExecutionConfig};
 use rtss_sim::{simulate, simulate_reference, simulate_with_probe};
 use std::hint::black_box;
 
@@ -247,14 +245,8 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_scaling");
     for n in TASK_SWEEP {
         let spec = scaled_system(n, TASK_SWEEP_HORIZON);
-        group.bench_with_input(BenchmarkId::new("rtsj_indexed", n), &spec, |b, s| {
+        group.bench_with_input(BenchmarkId::new("rtsj_driver", n), &spec, |b, s| {
             b.iter(|| black_box(execute(black_box(s), &ExecutionConfig::reference())))
-        });
-        group.bench_with_input(BenchmarkId::new("rtsj_linear_scan", n), &spec, |b, s| {
-            b.iter(|| {
-                let config = ExecutionConfig::reference().with_scheduler(SchedulerKind::LinearScan);
-                black_box(execute(black_box(s), &config))
-            })
         });
         group.bench_with_input(BenchmarkId::new("rtss_indexed", n), &spec, |b, s| {
             b.iter(|| black_box(simulate(black_box(s))))
@@ -264,11 +256,11 @@ fn bench(c: &mut Criterion) {
         });
     }
     // Horizon sweep at a fixed moderate size: decisions grow linearly with
-    // the horizon, per-decision cost must stay flat for the indexed engines.
+    // the horizon, per-decision cost must stay flat for the drivers.
     for horizon in HORIZON_SWEEP {
         let spec = scaled_system(30, horizon);
         group.bench_with_input(
-            BenchmarkId::new("rtsj_indexed_horizon", horizon),
+            BenchmarkId::new("rtsj_driver_horizon", horizon),
             &spec,
             |b, s| b.iter(|| black_box(execute(black_box(s), &ExecutionConfig::reference()))),
         );
@@ -372,31 +364,9 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    // Compiled-vs-interpreted execution: the emulator's general loop
-    // against the rt-compile ceiling-table fast path. Run just this sweep
-    // with `cargo bench -p rt-bench --bench engine_scaling -- compiled`.
-    //
-    // The compiled execution artifact is the reusable plan plus the analyzed
-    // substrate (ceiling tables, static dispatch order): validation, policy
-    // resolution and event planning are paid once at compile time, and the
-    // run drives the zero-allocation fast path.
     fn compile(spec: &SystemSpec) -> CompiledSystem<'_> {
         CompiledSystem::compile(spec).expect("bench systems are valid")
     }
-    let mut group = c.benchmark_group("interpreted-vs-compiled");
-    {
-        let n = 300usize;
-        let spec = scaled_system(n, TASK_SWEEP_HORIZON);
-        group.bench_with_input(BenchmarkId::new("exec_interpreted", n), &spec, |b, s| {
-            b.iter(|| black_box(execute(black_box(s), &ExecutionConfig::reference())))
-        });
-        let compiled = compile(&spec);
-        let plan = compiled.execution_plan(&ExecutionConfig::reference());
-        group.bench_with_input(BenchmarkId::new("exec_compiled", n), &plan, |b, p| {
-            b.iter(|| black_box(p.run_with_substrate(compiled.substrate())))
-        });
-    }
-    group.finish();
 
     // Probe overhead at the acceptance size: the NoopProbe rows must match
     // the probe-free entry points (disabled observability is zero code — the
@@ -468,24 +438,21 @@ fn bench(c: &mut Criterion) {
     // Speedup summary (single-shot timings; the acceptance gate is the
     // 300-task row).
     println!();
-    println!("per-run speedup, indexed vs linear scan (horizon {TASK_SWEEP_HORIZON} units):");
+    println!("per-run speedup, driver vs reference oracle (horizon {TASK_SWEEP_HORIZON} units):");
     println!(
         "{:>6} {:>12} {:>12} {:>8} {:>12} {:>12} {:>8}",
-        "tasks", "rtsj idx", "rtsj scan", "speedup", "rtss idx", "rtss scan", "speedup"
+        "tasks", "rtsj driver", "rtsj ref", "speedup", "rtss driver", "rtss ref", "speedup"
     );
     for n in TASK_SWEEP {
         let spec = scaled_system(n, TASK_SWEEP_HORIZON);
         // Warm up allocators and caches once per size.
         black_box(execute(&spec, &ExecutionConfig::reference()));
         black_box(simulate(&spec));
-        let rtsj_indexed = time_once(|| {
+        let rtsj_driver = time_once(|| {
             black_box(execute(&spec, &ExecutionConfig::reference()));
         });
-        let rtsj_scan = time_once(|| {
-            black_box(execute(
-                &spec,
-                &ExecutionConfig::reference().with_scheduler(SchedulerKind::LinearScan),
-            ));
+        let rtsj_reference = time_once(|| {
+            black_box(execute_reference(&spec, &ExecutionConfig::reference()));
         });
         let rtss_indexed = time_once(|| {
             black_box(simulate(&spec));
@@ -496,9 +463,9 @@ fn bench(c: &mut Criterion) {
         println!(
             "{:>6} {:>11.2}ms {:>11.2}ms {:>7.1}x {:>11.2}ms {:>11.2}ms {:>7.1}x",
             n,
-            rtsj_indexed * 1e3,
-            rtsj_scan * 1e3,
-            rtsj_scan / rtsj_indexed,
+            rtsj_driver * 1e3,
+            rtsj_reference * 1e3,
+            rtsj_reference / rtsj_driver,
             rtss_indexed * 1e3,
             rtss_scan * 1e3,
             rtss_scan / rtss_indexed,
@@ -646,50 +613,51 @@ fn bench(c: &mut Criterion) {
         );
     }
 
-    // Compiled-execution summary and the persisted bench trajectory. The
+    // Driver-vs-reference summary and the persisted bench trajectory. The
     // per-decision denominator is the segment count of the trace, which is
-    // path-independent: the compiled and interpreted execution traces are
-    // byte-identical (pinned by `tests/compiled_differential.rs`).
+    // loop-independent: the driver's and the oracle's traces are
+    // byte-identical (pinned by the differential tests).
     println!();
-    println!("compiled vs interpreted execution (per-decision cost; decisions = trace segments):");
+    println!(
+        "execution driver vs reference oracle (per-decision cost; decisions = trace segments):"
+    );
     println!(
         "{:>22} {:>10} {:>13} {:>13} {:>8}",
-        "workload", "decisions", "interpreted", "compiled", "speedup"
+        "workload", "decisions", "reference", "driver", "speedup"
     );
     let mut records: Vec<BenchRecord> = Vec::new();
     {
         let spec = scaled_system(300, TASK_SWEEP_HORIZON);
         let compiled_sys = compile(&spec);
         let plan = compiled_sys.execution_plan(&ExecutionConfig::reference());
-        let substrate = compiled_sys.substrate();
-        let decisions = plan.run_with_substrate(substrate).segments.len();
-        let interpreted = median(&|| {
-            black_box(execute(&spec, &ExecutionConfig::reference()));
+        let decisions = plan.run().segments.len();
+        let reference = median(&|| {
+            black_box(execute_reference(&spec, &ExecutionConfig::reference()));
         });
-        let compiled = median(&|| {
-            black_box(plan.run_with_substrate(substrate));
+        let driver = median(&|| {
+            black_box(plan.run());
         });
-        let interpreted_ns = interpreted * 1e9 / decisions as f64;
-        let compiled_ns = compiled * 1e9 / decisions as f64;
+        let reference_ns = reference * 1e9 / decisions as f64;
+        let driver_ns = driver * 1e9 / decisions as f64;
         println!(
             "{:>22} {:>10} {:>11.1}ns {:>11.1}ns {:>7.2}x",
             "exec/300",
             decisions,
-            interpreted_ns,
-            compiled_ns,
-            interpreted_ns / compiled_ns
+            reference_ns,
+            driver_ns,
+            reference_ns / driver_ns
         );
         records.push(BenchRecord {
             group: "scaling".into(),
-            config: "exec/300/interpreted".into(),
-            ns_per_decision: interpreted_ns,
+            config: "exec/300/reference".into(),
+            ns_per_decision: reference_ns,
             speedup: 1.0,
         });
         records.push(BenchRecord {
             group: "scaling".into(),
-            config: "exec/300/compiled".into(),
-            ns_per_decision: compiled_ns,
-            speedup: interpreted_ns / compiled_ns,
+            config: "exec/300/driver".into(),
+            ns_per_decision: driver_ns,
+            speedup: reference_ns / driver_ns,
         });
     }
 

@@ -10,8 +10,9 @@
 //! the cost of regenerating the table.
 //!
 //! The crate also hosts the **persisted bench trajectory**: the
-//! `engine_scaling` bench writes its compiled-vs-interpreted per-decision
-//! summary to `BENCH_engine_scaling.json` at the repository root through
+//! `engine_scaling` bench writes its per-decision summaries (driver vs
+//! reference oracle, faults, probes, compile cost) to
+//! `BENCH_engine_scaling.json` at the repository root through
 //! [`write_bench_trajectory`], and [`parse_bench_trajectory`] reads it back
 //! (the CI bench smoke regenerates the file and checks it parses). The JSON
 //! is hand-rolled because the offline `serde` shim has no JSON backend.
@@ -37,18 +38,18 @@ pub fn print_and_reproduce(table: PaperTable) -> rt_metrics::ResultTable {
 
 /// One row of the persisted bench trajectory: a workload configuration inside
 /// a benchmark group, its per-decision cost (a decision instant is one trace
-/// segment — the denominator is engine-independent because the compiled and
-/// interpreted traces are byte-identical), and its speedup against the
-/// group's interpreted baseline (`1.0` for the baseline rows themselves).
+/// segment — the denominator is loop-independent because the driver's and
+/// the reference oracle's traces are byte-identical), and its speedup
+/// against the group's baseline (`1.0` for the baseline rows themselves).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
     /// Benchmark group the row belongs to (`scaling`, `edf`, `overload`, …).
     pub group: String,
-    /// Workload configuration inside the group (e.g. `sim/300/compiled`).
+    /// Workload configuration inside the group (e.g. `exec/300/driver`).
     pub config: String,
     /// Mean wall-clock nanoseconds per decision instant.
     pub ns_per_decision: f64,
-    /// Speedup against the interpreted baseline of the same workload.
+    /// Speedup against the baseline row of the same workload.
     pub speedup: f64,
 }
 
@@ -638,12 +639,13 @@ mod tests {
         assert!(
             records
                 .iter()
-                .any(|r| r.group == "scaling" && r.config.contains("compiled")),
-            "trajectory must cover the compiled scaling sweep"
+                .any(|r| r.group == "scaling" && r.config.contains("driver")),
+            "trajectory must cover the driver-vs-reference scaling sweep"
         );
         // Phase-2 additions: the compile-cost-vs-event-count sweep must be
         // present (flatness is the acceptance gate for zero-copy compile),
-        // and the execution-side compiled row must record a real speedup.
+        // and the execution driver must record a real speedup over the
+        // reference oracle.
         let compile_cost: Vec<_> = records
             .iter()
             .filter(|r| r.group == "compile-cost")
@@ -660,7 +662,7 @@ mod tests {
             records
                 .iter()
                 .any(|r| r.group == "scaling" && r.config.contains("exec") && r.speedup > 1.0),
-            "trajectory must record a compiled speedup on the execution engine"
+            "trajectory must record the execution driver's speedup over the oracle"
         );
         // The probe-overhead rows: a noop/metrics pair per engine at the
         // 300-task acceptance point (the simulator has one driver, so one

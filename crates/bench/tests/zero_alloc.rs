@@ -1,8 +1,8 @@
-//! Zero-allocations-per-decision regression test for the execution fast
-//! path.
+//! Zero-allocations-per-decision regression test for the execution driver
+//! and the simulator.
 //!
 //! Strategy: run the same prepared [`ExecutionPlan`] through
-//! `run_with_substrate` over two horizons, H and 4·H, with an identical
+//! [`ExecutionPlan::run`] over two horizons, H and 4·H, with an identical
 //! aperiodic workload entirely inside the first horizon. The 4·H run makes
 //! roughly four times as many scheduling decisions (periodic releases,
 //! server activations, dispatches), so if the decision loop allocated
@@ -20,7 +20,7 @@
 //! implementing `GlobalAlloc` requires `unsafe`, which the library forbids.
 
 use rt_model::{Instant, Priority, SchedulingPolicy, ServerSpec, Span, SystemSpec, Trace};
-use rt_taskserver::{ExecutionConfig, ExecutionPlan, SubstratePlan};
+use rt_taskserver::{ExecutionConfig, ExecutionPlan};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -36,7 +36,6 @@ const ZERO_ALLOC_COVERED_FNS: &[(&str, &str)] = &[
     ("crates/core/src/fastpath.rs", "run"),
     ("crates/metrics/src/hist.rs", "record"),
     ("crates/observe/src/lib.rs", "admission"),
-    ("crates/observe/src/lib.rs", "calendar_size"),
     ("crates/observe/src/lib.rs", "cap_exhausted"),
     ("crates/observe/src/lib.rs", "decision"),
     ("crates/observe/src/lib.rs", "dispatch"),
@@ -46,7 +45,6 @@ const ZERO_ALLOC_COVERED_FNS: &[(&str, &str)] = &[
     ("crates/observe/src/lib.rs", "queue_depth"),
     ("crates/observe/src/lib.rs", "release"),
     ("crates/observe/src/lib.rs", "slice"),
-    ("crates/rtsj/src/engine.rs", "pick_runnable"),
     ("crates/rtss/src/engine.rs", "pick_runner_edf"),
     ("crates/rtss/src/engine.rs", "pick_runner_fp"),
     ("crates/rtss/src/engine.rs", "run_server"),
@@ -126,7 +124,7 @@ fn workload(horizon_units: u64) -> SystemSpec {
 }
 
 #[test]
-fn execution_fast_path_allocation_count_is_horizon_independent() {
+fn execution_driver_allocation_count_is_horizon_independent() {
     const BASE: u64 = 200; // last arrival at 177, well inside
     let config = ExecutionConfig::reference();
 
@@ -134,12 +132,9 @@ fn execution_fast_path_allocation_count_is_horizon_independent() {
     let spec_long = workload(4 * BASE);
     let plan_base = ExecutionPlan::prepare(&spec_base, &config).expect("valid spec");
     let plan_long = ExecutionPlan::prepare(&spec_long, &config).expect("valid spec");
-    let substrate_base = SubstratePlan::analyze(&spec_base, &config);
-    let substrate_long = SubstratePlan::analyze(&spec_long, &config);
-
     // Warm-up outside the counted region (lazy statics, first-touch caches).
-    let warm_base = plan_base.run_with_substrate(&substrate_base);
-    let warm_long = plan_long.run_with_substrate(&substrate_long);
+    let warm_base = plan_base.run();
+    let warm_long = plan_long.run();
     assert!(
         warm_long.segments.len() > 2 * warm_base.segments.len(),
         "the long run must actually make more decisions ({} vs {})",
@@ -149,11 +144,11 @@ fn execution_fast_path_allocation_count_is_horizon_independent() {
 
     let mut base_trace = None;
     let (base_allocs, base_reallocs) = count_allocations(|| {
-        base_trace = Some(plan_base.run_with_substrate(&substrate_base));
+        base_trace = Some(plan_base.run());
     });
     let mut long_trace = None;
     let (long_allocs, long_reallocs) = count_allocations(|| {
-        long_trace = Some(plan_long.run_with_substrate(&substrate_long));
+        long_trace = Some(plan_long.run());
     });
 
     // Sanity: the runs were real (traces dropped only after counting).
@@ -169,7 +164,8 @@ fn execution_fast_path_allocation_count_is_horizon_independent() {
 }
 
 /// Variant of [`workload`] with the scheduling policy forced, so the EDF
-/// pickers (`pick_runner_edf`) are driven too.
+/// pickers (`pick_runner_edf`, the execution driver's EDF heap) are driven
+/// too.
 fn workload_with(horizon_units: u64, scheduling: SchedulingPolicy) -> SystemSpec {
     let mut spec = workload(horizon_units);
     spec.scheduling = scheduling;
@@ -227,10 +223,16 @@ fn simulator_decision_loops_allocate_amortized_only() {
 }
 
 #[test]
-fn emulation_engine_decision_loop_allocates_amortized_only() {
+fn execution_driver_decision_loop_allocates_amortized_only() {
     let config = ExecutionConfig::reference();
-    assert_amortized_only("rtsj-emu execute", |spec| {
+    assert_amortized_only("exec driver fp", |spec| {
         rt_taskserver::execute(spec, &config)
+    });
+    assert_amortized_only("exec driver edf", |spec| {
+        rt_taskserver::execute(
+            &workload_with(spec.horizon.ticks() / 1000, SchedulingPolicy::Edf),
+            &config,
+        )
     });
 }
 
@@ -249,9 +251,17 @@ fn probe_enabled_decision_loops_allocate_amortized_only() {
         rtss_sim::simulate_with_probe(spec, &mut probe)
     });
     let config = ExecutionConfig::reference();
-    assert_amortized_only("rtsj-emu observed", |spec| {
+    assert_amortized_only("exec driver observed", |spec| {
         let mut probe = MetricsProbe::new();
         rt_taskserver::execute_with_probe(spec, &config, &mut probe)
+    });
+    assert_amortized_only("exec driver edf observed", |spec| {
+        let mut probe = MetricsProbe::new();
+        rt_taskserver::execute_with_probe(
+            &workload_with(spec.horizon.ticks() / 1000, SchedulingPolicy::Edf),
+            &config,
+            &mut probe,
+        )
     });
 }
 
@@ -267,7 +277,6 @@ fn coverage_manifest_is_sorted_and_names_real_files() {
             file.starts_with("crates/core/")
                 || file.starts_with("crates/metrics/")
                 || file.starts_with("crates/observe/")
-                || file.starts_with("crates/rtsj/")
                 || file.starts_with("crates/rtss/"),
             "unexpected manifest file {file}: extend the dynamic tests to \
              drive its engine before listing it"

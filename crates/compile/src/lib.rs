@@ -1,46 +1,37 @@
 //! # rt-compile — a validated spec frozen for both worlds
 //!
 //! [`CompiledSystem::compile`] freezes a structurally validated
-//! [`SystemSpec`] once and runs it through both worlds:
+//! [`SystemSpec`] once into the simulator's [`rtss_sim::SimTables`] and runs
+//! it through both worlds:
 //!
-//! * **simulation** — the frozen [`rtss_sim::SimTables`] and the simulator's
-//!   one decision loop. [`CompiledSystem::simulate`] is exactly
+//! * **simulation** — [`CompiledSystem::simulate`] is exactly
 //!   [`rtss_sim::simulate`] without re-freezing, so a compiled system can be
 //!   simulated many times for the cost of one freeze;
-//! * **execution** — an RTFM-style analyze pass (after Real-Time For the
-//!   Masses' compile-time Stack Resource Policy ceilings) derives the
-//!   execution fast path's [`SubstratePlan`] from the same tables: every
-//!   schedulable is ranked into a *static dispatch order*, periodic releases
-//!   are folded into a *release wheel* whose groups carry precomputed
-//!   *preemption ceilings*, and [`CompiledSystem::execute`] drives the real
-//!   server bodies through `rt-taskserver`'s specialized
-//!   `run_with_substrate` loop — release drains are wheel walks, the "does
-//!   this wake preempt?" question is one integer compare against the group
-//!   ceiling, and dispatching is a find-first-set bitmap scan. Under EDF the
-//!   plan transparently falls back to the emulator's general run.
+//! * **execution** — [`CompiledSystem::execution_plan`] prepares
+//!   `rt-taskserver`'s [`ExecutionPlan`] without re-validating the spec, and
+//!   [`CompiledSystem::execute`] runs it on the execution world's one
+//!   table-driven driver (fixed priorities and EDF alike), the same loop
+//!   `rt_taskserver::execute` runs.
 //!
 //! Compilation is O(tasks + servers), independent of the aperiodic traffic
 //! volume: the tables borrow the source spec and handler names live in
 //! `rt-model`'s interned symbol table ([`rt_model::NameId`]), so the
 //! execution plan's handler templates are plain `Copy` scalars. The
 //! `compile-cost` group of the `engine_scaling` benchmark pins that
-//! flatness. Execution traces are byte-identical to `rt_taskserver::execute`
-//! (pinned by `tests/compiled_differential.rs` and the compiled goldens).
+//! flatness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod analyze;
-
 use rt_model::{ModelError, SystemSpec, Trace};
 use rt_observe::Probe;
-use rt_taskserver::{ExecutionConfig, ExecutionPlan, SubstratePlan};
+use rt_taskserver::{ExecutionConfig, ExecutionPlan};
 use rtss_sim::SimTables;
 
-/// A validated [`SystemSpec`] frozen into the simulator's dispatch tables
-/// plus the execution fast path's substrate. Borrows the spec it was
-/// compiled from (owned only when arrival faults force a normalised copy),
-/// so compiling is O(tasks + servers) with zero per-event allocations.
+/// A validated [`SystemSpec`] frozen into the simulator's dispatch tables.
+/// Borrows the spec it was compiled from (owned only when arrival faults
+/// force a normalised copy), so compiling is O(tasks + servers) with zero
+/// per-event allocations.
 ///
 /// ```
 /// use rt_model::{Instant, Priority, ServerSpec, Span, SystemSpec};
@@ -62,8 +53,6 @@ use rtss_sim::SimTables;
 #[derive(Debug, Clone)]
 pub struct CompiledSystem<'a> {
     tables: SimTables<'a>,
-    /// The execution fast path's precomputed scheduling substrate.
-    substrate: SubstratePlan,
 }
 
 impl<'a> CompiledSystem<'a> {
@@ -74,21 +63,15 @@ impl<'a> CompiledSystem<'a> {
     /// the task/server tables are not well formed; a compiled system always
     /// corresponds to a structurally valid spec.
     pub fn compile(spec: &'a SystemSpec) -> Result<CompiledSystem<'a>, ModelError> {
-        let tables = SimTables::freeze(spec)?;
-        let substrate = analyze::build_substrate(&tables);
-        Ok(CompiledSystem { tables, substrate })
+        Ok(CompiledSystem {
+            tables: SimTables::freeze(spec)?,
+        })
     }
 
     /// The validated source specification this system was compiled from
     /// (after arrival faults).
     pub fn spec(&self) -> &SystemSpec {
         self.tables.spec()
-    }
-
-    /// The execution fast path's precomputed substrate: static dispatch
-    /// ranks, the release wheel with preemption ceilings, reservation hints.
-    pub fn substrate(&self) -> &SubstratePlan {
-        &self.substrate
     }
 
     /// Runs the simulator's driver on the frozen tables: the trace of
@@ -104,22 +87,20 @@ impl<'a> CompiledSystem<'a> {
         self.tables.simulate_with_probe(probe)
     }
 
-    /// Prepares the compiled schedulable table for the execution engine: the
-    /// installation plan (server shares, thread specs, servable handlers,
-    /// fire schedule) is computed once here and reusable across
+    /// Prepares the compiled schedulable table for the execution driver: the
+    /// installation plan (servable handlers, fire schedule, the driver's
+    /// dispatch substrate) is computed once here and reusable across
     /// [`ExecutionPlan::run`] calls. Validation is not repeated — the
     /// compiled system already holds a validated spec.
     pub fn execution_plan(&self, config: &ExecutionConfig) -> ExecutionPlan<'_> {
         ExecutionPlan::prepare_prevalidated(self.spec(), config)
     }
 
-    /// Executes the compiled schedulable table on the `rtsj-emu` engine
-    /// through the ceiling-table fast path (general fallback under EDF),
-    /// producing a trace byte-identical to `rt_taskserver::execute` for the
-    /// same spec and configuration.
+    /// Executes the compiled schedulable table on the execution driver,
+    /// producing the trace of `rt_taskserver::execute` for the same spec and
+    /// configuration.
     pub fn execute(&self, config: &ExecutionConfig) -> Trace {
-        self.execution_plan(config)
-            .run_with_substrate(&self.substrate)
+        self.execution_plan(config).run()
     }
 }
 
@@ -128,10 +109,10 @@ impl<'a> CompiledSystem<'a> {
 ///
 /// # Panics
 /// Panics when the specification fails structural validation, exactly like
-/// the interpreted entry point.
+/// `rt_taskserver::execute`.
 pub fn execute_compiled(spec: &SystemSpec, config: &ExecutionConfig) -> Trace {
     CompiledSystem::compile(spec)
-        // rt-lint: allow(panic, reason = "documented '# Panics' contract: the convenience entry point fails loudly on invalid specs, mirroring the interpreted API")
+        // rt-lint: allow(panic, reason = "documented '# Panics' contract: the convenience entry point fails loudly on invalid specs, mirroring rt_taskserver::execute")
         .expect("execute_compiled() requires a valid system specification")
         .execute(config)
 }

@@ -1,17 +1,22 @@
-//! The compiled execution fast path: a specialized dispatch loop that drives
-//! the *real* task-server bodies over precomputed SRP-style tables instead of
-//! the general engine's calendar and ready heaps.
+//! The execution world's decision loop: a table-driven driver that runs the
+//! *real* task-server bodies over precomputed SRP-style tables.
 //!
-//! ## What is precomputed (the [`SubstratePlan`])
+//! Every execution entry point — `execute`, `execute_with_probe`,
+//! [`ExecutionPlan::run`], [`ExecutionPlan::run_with_probe`] and the compile
+//! layer's `CompiledSystem::execute` — runs this driver, under fixed
+//! priorities and EDF alike. The naive `rtsj-emu` engine, reached through
+//! [`crate::system::execute_reference`], is the oracle it is tested
+//! against.
 //!
-//! An RTFM-style analyze pass (see `rt-compile`'s `analyze` module, after
-//! Real-Time For the Masses' compile-time Stack Resource Policy ceilings)
-//! derives, once per system × configuration:
+//! ## What is precomputed (the `SubstratePlan`)
+//!
+//! An RTFM-style analyze pass (after Real-Time For the Masses' compile-time
+//! Stack Resource Policy ceilings) derives, once per system in
+//! [`ExecutionPlan::prepare`]:
 //!
 //! * a **static dispatch order** — every schedulable ranked by
-//!   (priority desc, spawn index asc), the exact tie-break of the engine's
-//!   fixed-priority ready heap, so dispatching is a find-first-set scan over
-//!   a rank bitmap instead of a heap;
+//!   (priority desc, spawn index asc), the oracle's fixed-priority
+//!   tie-break, so dispatching is a find-first-set scan over a rank bitmap;
 //! * a **release wheel** — periodic schedulables grouped by (first release,
 //!   period) with a per-group *preemption ceiling* (the best rank in the
 //!   group), so a release drain costs O(groups) when nothing is due and the
@@ -24,82 +29,98 @@
 //!
 //! The server bodies are the very same [`PollingServerBody`],
 //! [`EventDrivenServerBody`] and [`SporadicServerBody`] state machines the
-//! interpreted engine runs, pumped through the public [`BodyCtx`] protocol
-//! with the engine's exact ordering (deadline, action, fires, timers). The
-//! fast path only replaces the *scheduling substrate* around them — calendar,
-//! ready queue, timer multiplexing — with table-driven equivalents, which is
-//! why its traces are byte-identical to the interpreted engine's and are
-//! pinned against it by the compiled differential matrix and the fuzzer.
+//! oracle runs, pumped through the public [`BodyCtx`] protocol with the
+//! oracle's exact ordering (deadline, action, fires, timers), and the
+//! replenishment hooks are the shared [`ServerShared::on_replenish`] rules.
+//! The driver only replaces the *scheduling substrate* around them —
+//! timer scans, ready-set sweeps, hook closures — with table-driven
+//! equivalents, which is why its traces are byte-identical to the oracle's.
+//!
+//! ## EDF
+//!
+//! `const EDF: bool` picks the ready structure, like `rtss-sim`'s driver:
+//! under EDF a `(deadline, thread)` min-heap with lazily discarded stale
+//! entries replaces the rank bitmap scan (the bitmap stays the runnable
+//! set). Deadlines come from the same places as in the oracle: install-time
+//! server deadlines, the per-release re-key `release + relative_deadline`
+//! of every periodic schedulable (constrained for tasks whose deadline
+//! differs from their period), and the deadlines server bodies publish.
+//!
+//! ## Probes
+//!
+//! The driver carries `rt-observe`'s monomorphized [`Probe`]: every hook
+//! site is gated on `PR::ENABLED`, so the [`NoopProbe`](rt_observe::NoopProbe)
+//! instantiation compiles to the unobserved loop. Admission verdicts happen
+//! in the shared lanes, whose always-on tallies are handed to
+//! [`Probe::lane_totals`] at the end of the run.
 //!
 //! ## Complexity per decision
 //!
 //! With `t` threads, `g` wheel groups and `s` servers: a drain is O(g + s)
 //! when nothing is due (one compare per group/static timer, one cursor peek
-//! for the arrival stream); a dispatch is O(1) when the ceiling check proves
-//! the running thread keeps the processor, O(t/64) for the bitmap scan
-//! otherwise; per-release work is O(1) amortized and allocation-free (the
-//! handler templates are `Copy`, the scratch buffers are reused).
-//!
-//! Only fixed-priority systems take this path: under EDF the plan falls back
-//! to the interpreted [`ExecutionPlan::run`], whose ready heap is the honest
-//! way to track dynamic deadlines.
+//! for the arrival stream); an FP dispatch is O(1) when the ceiling check
+//! proves the running thread keeps the processor, O(t/64) for the bitmap
+//! scan otherwise; an EDF dispatch is an amortized O(log t) heap peek;
+//! per-release work is O(1) amortized and allocation-free (the handler
+//! templates are `Copy`, the scratch buffers are reused).
 
 use crate::deferrable::EventDrivenServerBody;
 use crate::handler::QueuedRelease;
 use crate::polling::PollingServerBody;
 use crate::sporadic::SporadicServerBody;
-use crate::state::{ServerShared, SharedServer};
-use crate::system::{finalise_trace, ExecutionConfig, ExecutionPlan, PlannedEvent};
+use crate::state::{ReplenishRule, ServerShared, SharedServer};
+use crate::system::{finalise_trace, ExecutionPlan, PlannedEvent};
 use rt_model::{
     AperiodicOutcome, ExecUnit, Instant, Priority, SchedulingPolicy, ServerPolicyKind, Span,
     SystemSpec, Trace,
 };
+use rt_observe::Probe;
 use rtsj_emu::{
     Action, BodyCtx, Completion, EventHandle, PeriodicThreadBody, TaskServerParameters, ThreadBody,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Safety net against non-progressing bodies, mirroring the engine's guard.
+/// Safety net against non-progressing bodies, mirroring the oracle's guard.
 const MAX_ZERO_TIME_STEPS: u32 = 100_000;
 
 /// One release-wheel group: periodic schedulables sharing a release grid.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SubstrateGroup {
+pub(crate) struct SubstrateGroup {
     /// First release instant of the grid.
-    pub first: Instant,
+    pub(crate) first: Instant,
     /// Release period of the grid.
-    pub period: Span,
+    pub(crate) period: Span,
     /// Member thread ids (spawn order: servers first, then tasks).
-    pub members: Vec<u32>,
+    pub(crate) members: Vec<u32>,
     /// Preemption ceiling: the best (smallest) dispatch rank in the group.
     /// A running thread with a rank below this value cannot be preempted by
     /// any release of the group — the SRP-style O(1) preemption test.
-    pub ceiling: u32,
+    pub(crate) ceiling: u32,
 }
 
-/// The precomputed scheduling substrate of one system × configuration: the
-/// static dispatch order, the release wheel with preemption ceilings, and
-/// the trace reservation hint. See the module docs for the derivation.
+/// The precomputed scheduling substrate of one system: the static dispatch
+/// order, the release wheel with preemption ceilings, and the trace
+/// reservation hint. See the module docs for the derivation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SubstratePlan {
+pub(crate) struct SubstratePlan {
     /// Thread id → dispatch rank (0 = dispatched first).
-    pub rank_of: Vec<u32>,
+    pub(crate) rank_of: Vec<u32>,
     /// Dispatch rank → thread id (the inverse of [`Self::rank_of`]).
-    pub order: Vec<u32>,
+    pub(crate) order: Vec<u32>,
     /// The release wheel.
-    pub groups: Vec<SubstrateGroup>,
+    pub(crate) groups: Vec<SubstrateGroup>,
     /// Reservation hint for the trace's segment storage (an upper-bound
     /// estimate; undershooting only costs a reallocation).
-    pub segment_hint: usize,
+    pub(crate) segment_hint: usize,
 }
 
 impl SubstratePlan {
-    /// Derives the substrate directly from a spec — the convenience
-    /// constructor used by tests and one-shot callers. The compile layer
-    /// builds the same structure from its own task/lane tables (O(tasks +
-    /// servers), no spec walk) in `rt-compile`'s `analyze` module.
-    pub fn analyze(spec: &SystemSpec, _config: &ExecutionConfig) -> Self {
+    /// Derives the substrate from a spec in O(tasks · groups + servers).
+    /// Thread layout is the oracle's spawn order: server lanes first
+    /// (thread id = lane index), then periodic tasks (thread id =
+    /// `servers.len() + task index`).
+    pub(crate) fn analyze(spec: &SystemSpec) -> Self {
         let server_count = spec.servers.len();
         let thread_count = server_count + spec.periodic_tasks.len();
         let mut priorities: Vec<Priority> = Vec::with_capacity(thread_count);
@@ -177,9 +198,9 @@ impl SubstratePlan {
     }
 }
 
-/// Builds the (thread → rank, rank → thread) tables for the engine's
+/// Builds the (thread → rank, rank → thread) tables for the oracle's
 /// fixed-priority dispatch order: priority descending, spawn index ascending.
-pub fn rank_tables(priorities: &[Priority]) -> (Vec<u32>, Vec<u32>) {
+fn rank_tables(priorities: &[Priority]) -> (Vec<u32>, Vec<u32>) {
     let mut order: Vec<u32> = (0..priorities.len() as u32).collect();
     order.sort_by_key(|&tid| (Reverse(priorities[tid as usize]), tid));
     let mut rank_of = vec![0u32; priorities.len()];
@@ -189,36 +210,16 @@ pub fn rank_tables(priorities: &[Priority]) -> (Vec<u32>, Vec<u32>) {
     (rank_of, order)
 }
 
-impl ExecutionPlan<'_> {
-    /// Runs the plan through the compiled fast path described in the module
-    /// docs, producing a trace byte-identical to [`ExecutionPlan::run`].
-    ///
-    /// Only fixed-priority systems are specialized; a plan whose effective
-    /// policy is EDF falls back to the interpreted run (the substrate's
-    /// static ranks cannot represent dynamic deadlines).
-    pub fn run_with_substrate(&self, substrate: &SubstratePlan) -> Trace {
-        let policy = self.config.scheduling.unwrap_or(self.spec.scheduling);
-        if policy != SchedulingPolicy::FixedPriority {
-            return self.run();
-        }
-        let mut driver = FastDriver::new(self, substrate);
-        driver.run();
-        let FastDriver {
-            mut trace, shareds, ..
-        } = driver;
-        let collected: Option<Vec<AperiodicOutcome>> = (!shareds.is_empty()).then(|| {
-            shareds
-                .iter()
-                .flat_map(|shared| shared.borrow_mut().finalise())
-                .collect()
-        });
-        finalise_trace(&self.spec, shareds.len(), collected, &mut trace);
-        trace
+/// Runs `plan` on the driver, monomorphized over the plan's scheduling
+/// policy and the probe.
+pub(crate) fn run_driver<PR: Probe>(plan: &ExecutionPlan<'_>, probe: PR) -> Trace {
+    match plan.spec.scheduling {
+        SchedulingPolicy::FixedPriority => FastDriver::<PR, false>::new(plan, probe).execute(),
+        SchedulingPolicy::Edf => FastDriver::<PR, true>::new(plan, probe).execute(),
     }
 }
 
-/// Mirror of the engine's thread status (without the EDF deadline key, which
-/// fixed-priority dispatch ignores).
+/// Mirror of the oracle's thread status.
 #[derive(Debug, Clone, Copy)]
 enum Status {
     Ready(Completion),
@@ -235,33 +236,29 @@ enum Status {
 }
 
 /// A schedulable body: the periodic workers inline (no heap box), the server
-/// state machines behind the same boxing the engine uses.
+/// state machines boxed.
 enum Body {
     Task(PeriodicThreadBody),
     Server(Box<dyn ThreadBody>),
 }
 
-impl Body {
-    fn next_action(&mut self, ctx: &mut BodyCtx, completion: Completion) -> Action {
-        match self {
-            Body::Task(body) => body.next_action(ctx, completion),
-            Body::Server(body) => body.next_action(ctx, completion),
-        }
-    }
-}
-
 /// The status a thread enters when its body asks to compute `amount` on
-/// `unit` (the engine's zero-amount short-circuit included).
+/// `unit`, optionally under a `Timed` budget (the oracle's zero-amount and
+/// zero-budget short-circuits included).
 #[inline]
-fn start_compute(amount: Span, unit: ExecUnit) -> Status {
+fn compute(amount: Span, budget: Option<Span>, unit: ExecUnit) -> Status {
     if amount.is_zero() {
         Status::Ready(Completion::Computed {
+            consumed: Span::ZERO,
+        })
+    } else if budget == Some(Span::ZERO) {
+        Status::Ready(Completion::Interrupted {
             consumed: Span::ZERO,
         })
     } else {
         Status::Computing {
             remaining: amount,
-            budget: None,
+            budget,
             unit,
             consumed: Span::ZERO,
         }
@@ -281,7 +278,7 @@ fn start_period(body: &mut PeriodicThreadBody, now: Instant) -> Status {
     debug_assert!(ctx.take_timer_requests().is_empty());
     debug_assert!(ctx.take_deadline_request().is_none());
     match action {
-        Action::Compute { amount, unit } => start_compute(amount, unit),
+        Action::Compute { amount, unit } => compute(amount, None, unit),
         _ => unreachable!("a periodic worker always computes at a period start"),
     }
 }
@@ -290,12 +287,27 @@ fn start_period(body: &mut PeriodicThreadBody, now: Instant) -> Status {
 struct Periodic {
     next: Instant,
     period: Span,
+    /// Relative deadline of each job: the EDF re-key at every release.
+    relative_deadline: Span,
+}
+
+impl Periodic {
+    /// Takes the release at `next`, returning the fresh job's absolute
+    /// deadline.
+    #[inline]
+    fn take(&mut self) -> Instant {
+        let deadline = self.next + self.relative_deadline;
+        self.next += self.period;
+        deadline
+    }
 }
 
 struct ThreadSlot {
     body: Body,
     periodic: Option<Periodic>,
     status: Status,
+    /// The EDF dispatching key (maintained under EDF only).
+    deadline: Instant,
 }
 
 /// Static hook table: what firing an event does, as data instead of boxed
@@ -304,14 +316,12 @@ struct ThreadSlot {
 enum EventKind {
     /// No hook (the `wakeUp` events): only waiters/pending bookkeeping.
     Plain,
-    /// Chunk-replenishment of a DS/BG lane that may mode-swap into the
-    /// Sporadic policy: credit due replenishments, wake on success.
-    SwapReplenish { lane: usize, wakeup: usize },
-    /// The DS periodic replenishment: apply due mode changes, refill (while
-    /// still deferrable), always wake.
-    DsReplenish { lane: usize, wakeup: usize },
-    /// The SS replenishment: credit due replenishments, wake on success.
-    SsReplenish { lane: usize, wakeup: usize },
+    /// A lane replenishment: apply the shared rule, wake when it asks to.
+    Replenish {
+        rule: ReplenishRule,
+        lane: usize,
+        wakeup: usize,
+    },
     /// A servable async event: queue the release, wake the lane if accepted.
     Sae {
         lane: usize,
@@ -338,24 +348,25 @@ struct StaticTimer {
 }
 
 /// Runtime state of one release-wheel group.
-struct WheelGroup<'s> {
+struct WheelGroup<'p> {
     next: Instant,
     period: Span,
-    members: &'s [u32],
+    members: &'p [u32],
     ceiling: u32,
 }
 
-struct FastDriver<'p, 's> {
+struct FastDriver<'p, PR: Probe, const EDF: bool> {
     // --- immutable tables ---
+    spec: &'p SystemSpec,
     plan_events: &'p [PlannedEvent],
-    rank_of: &'s [u32],
-    order: &'s [u32],
+    rank_of: &'p [u32],
+    order: &'p [u32],
     horizon: Instant,
     timer_fire: Span,
-    /// Engine event index of each planned servable event.
+    /// Event index of each planned servable event.
     sae_events: Vec<usize>,
     /// Conceptual timer index of the first servable-event fire timer (the
-    /// engine creates them after every install-time timer), keeping the
+    /// oracle creates them after every install-time timer), keeping the
     /// (timer creation order, occurrence instant) fire order exact.
     sae_base: usize,
 
@@ -365,7 +376,7 @@ struct FastDriver<'p, 's> {
     shareds: Vec<SharedServer>,
     events: Vec<EventSlot>,
     static_timers: Vec<StaticTimer>,
-    groups: Vec<WheelGroup<'s>>,
+    groups: Vec<WheelGroup<'p>>,
     sae_cursor: usize,
     /// Runtime-armed one-shots (SS chunk replenishments): (fire instant,
     /// conceptual timer index, event index).
@@ -374,10 +385,16 @@ struct FastDriver<'p, 's> {
     until_wakes: Vec<(Instant, usize)>,
     /// Ready/Computing bitmap indexed by dispatch rank.
     runnable: Vec<u64>,
-    /// Best (smallest) rank made runnable since the last dispatch decision;
-    /// the ceiling-gated preemption test compares it to the running rank.
+    /// FP: best (smallest) rank made runnable since the last dispatch
+    /// decision; the ceiling-gated preemption test compares it to the
+    /// running rank.
     woken_min_rank: u32,
+    /// FP: the thread the last full scan dispatched, with its rank.
     running: Option<(usize, u32)>,
+    /// EDF: runnable threads min-first by `(deadline, thread)` — the
+    /// oracle's spawn-order tie-break. An entry is live only while its
+    /// thread is runnable *and* still keyed by the recorded deadline.
+    ready_edf: BinaryHeap<Reverse<(Instant, usize)>>,
     pending_overhead: Span,
     /// Earliest instant at which anything can become due (timer, wheel grid
     /// point, planned release, timed wake). Maintained exactly: recomputed by
@@ -387,21 +404,31 @@ struct FastDriver<'p, 's> {
     next_due: Instant,
     zero_steps: u32,
     trace: Trace,
+    /// The observation hooks, every call site gated on `PR::ENABLED`.
+    probe: PR,
+    /// The unit whose last compute slice ended with work remaining — the
+    /// candidate for a preemption report when the next dispatch picks
+    /// someone else. Only maintained when `PR::ENABLED`.
+    incomplete: Option<ExecUnit>,
     // --- reused scratch ---
     due_scratch: Vec<(usize, Instant, usize)>,
     fire_queue: VecDeque<usize>,
 }
 
-impl<'p, 's> FastDriver<'p, 's> {
-    fn new(plan: &'p ExecutionPlan<'_>, substrate: &'s SubstratePlan) -> Self {
+impl<'p, PR: Probe, const EDF: bool> FastDriver<'p, PR, EDF> {
+    fn new(plan: &'p ExecutionPlan<'_>, mut probe: PR) -> Self {
         let spec: &SystemSpec = &plan.spec;
         let config = &plan.config;
+        let substrate = &plan.substrate;
         let thread_count = spec.servers.len() + spec.periodic_tasks.len();
         debug_assert_eq!(
             substrate.rank_of.len(),
             thread_count,
             "substrate was analyzed for a different system"
         );
+        if PR::ENABLED {
+            probe.attach(spec.servers.len());
+        }
 
         let mut threads: Vec<ThreadSlot> = Vec::with_capacity(thread_count);
         let mut shareds: Vec<SharedServer> = Vec::with_capacity(spec.servers.len());
@@ -420,87 +447,77 @@ impl<'p, 's> FastDriver<'p, 's> {
         };
 
         // Install the servers exactly like `AnyTaskServer::install_with_faults`
-        // does on the engine: same shared-state construction, same event and
-        // timer creation order, same bodies.
+        // does on the oracle: same shared-state construction, same event and
+        // timer creation order, same bodies, same initial EDF deadlines.
         for (lane, server) in spec.servers.iter().enumerate() {
-            let (params, shared) = match server.policy {
-                ServerPolicyKind::Background => {
-                    // Nominal parameters: never used to reject work.
-                    let params = TaskServerParameters::new(
-                        Span::from_units(1),
-                        Span::from_units(1),
-                        server.priority,
-                    );
-                    (
-                        params,
-                        ServerShared::new(
-                            params,
-                            ServerPolicyKind::Background,
-                            config.overhead,
-                            config.queue,
-                            server.discipline,
-                        ),
-                    )
-                }
-                policy => {
-                    let params =
-                        TaskServerParameters::new(server.capacity, server.period, server.priority);
-                    (
-                        params,
-                        ServerShared::with_admission(
-                            params,
-                            policy,
-                            config.overhead,
-                            config.queue,
-                            server.discipline,
-                            server.admission,
-                        ),
-                    )
-                }
+            let params = TaskServerParameters::of_spec(server);
+            let shared = match server.policy {
+                ServerPolicyKind::Background => ServerShared::new(
+                    params,
+                    ServerPolicyKind::Background,
+                    config.overhead,
+                    config.queue,
+                    server.discipline,
+                ),
+                policy => ServerShared::with_admission(
+                    params,
+                    policy,
+                    config.overhead,
+                    config.queue,
+                    server.discipline,
+                    server.admission,
+                ),
             };
-            let (body, periodic, wakeup) = match server.policy {
+            let first_deadline = Instant::ZERO + params.period;
+            let replenish = |events: &mut Vec<EventSlot>, rule, wakeup| {
+                create_event(events, EventKind::Replenish { rule, lane, wakeup })
+            };
+            let (body, periodic, wakeup, deadline) = match server.policy {
                 ServerPolicyKind::Polling => (
                     Body::Server(Box::new(PollingServerBody::new(shared.clone()))),
                     Some(Periodic {
                         next: Instant::ZERO,
                         period: params.period,
+                        relative_deadline: params.period,
                     }),
                     None,
+                    first_deadline,
                 ),
-                ServerPolicyKind::Deferrable => {
+                ServerPolicyKind::Deferrable | ServerPolicyKind::Background => {
                     let wakeup = create_event(&mut events, EventKind::Plain);
-                    let swap = create_event(&mut events, EventKind::SwapReplenish { lane, wakeup });
+                    let swap = replenish(&mut events, ReplenishRule::Chunks, wakeup);
                     let body =
                         EventDrivenServerBody::new(shared.clone(), EventHandle::from_raw(wakeup))
                             .with_replenish(EventHandle::from_raw(swap));
-                    let replenish =
-                        create_event(&mut events, EventKind::DsReplenish { lane, wakeup });
-                    static_timers.push(StaticTimer {
-                        next: Instant::ZERO + params.period,
-                        period: Some(params.period),
-                        enabled: true,
-                        event: replenish,
-                    });
-                    (Body::Server(Box::new(body)), None, Some(wakeup))
-                }
-                ServerPolicyKind::Background => {
-                    let wakeup = create_event(&mut events, EventKind::Plain);
-                    let swap = create_event(&mut events, EventKind::SwapReplenish { lane, wakeup });
-                    let body =
-                        EventDrivenServerBody::new(shared.clone(), EventHandle::from_raw(wakeup))
-                            .with_replenish(EventHandle::from_raw(swap));
-                    (Body::Server(Box::new(body)), None, Some(wakeup))
+                    let deadline = if server.policy == ServerPolicyKind::Deferrable {
+                        let periodic = replenish(&mut events, ReplenishRule::Periodic, wakeup);
+                        static_timers.push(StaticTimer {
+                            next: first_deadline,
+                            period: Some(params.period),
+                            enabled: true,
+                            event: periodic,
+                        });
+                        first_deadline
+                    } else {
+                        // Background servicing never carries a deadline.
+                        Instant::MAX
+                    };
+                    (Body::Server(Box::new(body)), None, Some(wakeup), deadline)
                 }
                 ServerPolicyKind::Sporadic => {
                     let wakeup = create_event(&mut events, EventKind::Plain);
-                    let replenish =
-                        create_event(&mut events, EventKind::SsReplenish { lane, wakeup });
+                    let chunks = replenish(&mut events, ReplenishRule::Chunks, wakeup);
                     let body = SporadicServerBody::new(
                         shared.clone(),
                         EventHandle::from_raw(wakeup),
-                        EventHandle::from_raw(replenish),
+                        EventHandle::from_raw(chunks),
                     );
-                    (Body::Server(Box::new(body)), None, Some(wakeup))
+                    (
+                        Body::Server(Box::new(body)),
+                        None,
+                        Some(wakeup),
+                        first_deadline,
+                    )
                 }
             };
             let changes: Vec<rt_model::ModeChange> =
@@ -522,20 +539,24 @@ impl<'p, 's> FastDriver<'p, 's> {
                 body,
                 periodic,
                 status: Status::Ready(Completion::Started),
+                deadline,
             });
             shareds.push(shared);
             lane_wakeup.push(wakeup);
         }
 
-        // The periodic tasks, same spawn order as `ExecutionPlan::run`.
+        // The periodic tasks, in the oracle's spawn order.
         for task in &spec.periodic_tasks {
+            let first = Instant::ZERO + task.offset;
             threads.push(ThreadSlot {
                 body: Body::Task(PeriodicThreadBody::new(task.cost, ExecUnit::Task(task.id))),
                 periodic: Some(Periodic {
-                    next: Instant::ZERO + task.offset,
+                    next: first,
                     period: task.period,
+                    relative_deadline: task.deadline,
                 }),
                 status: Status::Ready(Completion::Started),
+                deadline: first + task.deadline,
             });
         }
 
@@ -566,6 +587,7 @@ impl<'p, 's> FastDriver<'p, 's> {
 
         let word_count = thread_count.div_ceil(64).max(1);
         let mut driver = FastDriver {
+            spec,
             plan_events: &plan.events,
             rank_of: &substrate.rank_of,
             order: &substrate.order,
@@ -595,10 +617,13 @@ impl<'p, 's> FastDriver<'p, 's> {
             runnable: vec![0u64; word_count],
             woken_min_rank: u32::MAX,
             running: None,
+            ready_edf: BinaryHeap::with_capacity(if EDF { thread_count } else { 0 }),
             pending_overhead: Span::ZERO,
             next_due: Instant::ZERO,
             zero_steps: 0,
             trace,
+            probe,
+            incomplete: None,
             due_scratch: Vec::new(),
             fire_queue: VecDeque::new(),
         };
@@ -608,8 +633,44 @@ impl<'p, 's> FastDriver<'p, 's> {
         driver
     }
 
+    /// Runs the decision loop to the horizon, hands the lane tallies to the
+    /// probe and finalises the trace.
+    fn execute(mut self) -> Trace {
+        self.run();
+        if PR::ENABLED {
+            for (lane, shared) in self.shareds.iter().enumerate() {
+                let totals = shared.borrow().totals;
+                self.probe.lane_totals(lane, &totals);
+            }
+        }
+        let FastDriver {
+            spec,
+            mut trace,
+            shareds,
+            ..
+        } = self;
+        let collected: Option<Vec<AperiodicOutcome>> = (!shareds.is_empty()).then(|| {
+            shareds
+                .iter()
+                .flat_map(|shared| shared.borrow_mut().finalise())
+                .collect()
+        });
+        finalise_trace(spec, shareds.len(), collected, &mut trace);
+        trace
+    }
+
+    #[inline]
+    fn is_runnable(&self, tid: usize) -> bool {
+        let rank = self.rank_of[tid];
+        self.runnable[(rank / 64) as usize] & (1u64 << (rank % 64)) != 0
+    }
+
     #[inline]
     fn mark_runnable(&mut self, tid: usize) {
+        if EDF && !self.is_runnable(tid) {
+            self.ready_edf
+                .push(Reverse((self.threads[tid].deadline, tid)));
+        }
         let rank = self.rank_of[tid];
         self.runnable[(rank / 64) as usize] |= 1u64 << (rank % 64);
         self.woken_min_rank = self.woken_min_rank.min(rank);
@@ -621,24 +682,36 @@ impl<'p, 's> FastDriver<'p, 's> {
         self.runnable[(rank / 64) as usize] &= !(1u64 << (rank % 64));
     }
 
-    /// Highest-priority runnable thread: the first set bit of the rank
-    /// bitmap (the substrate's static dispatch order).
-    fn pick_scan(&self) -> Option<usize> {
-        for (word_index, &word) in self.runnable.iter().enumerate() {
-            if word != 0 {
-                let rank = word_index * 64 + word.trailing_zeros() as usize;
-                return Some(self.order[rank] as usize);
+    /// Re-keys a thread's EDF deadline; a runnable thread gets a fresh heap
+    /// entry (the old one turns stale and is discarded lazily by
+    /// [`Self::pick`]). A no-op under fixed priorities.
+    #[inline]
+    fn set_deadline(&mut self, tid: usize, deadline: Instant) {
+        if EDF && self.threads[tid].deadline != deadline {
+            self.threads[tid].deadline = deadline;
+            if self.is_runnable(tid) {
+                self.ready_edf.push(Reverse((deadline, tid)));
             }
         }
-        None
     }
 
-    /// Dispatch decision with the ceiling-gated fast resume: while the
-    /// previously dispatched thread is still mid-computation and everything
-    /// woken since the last decision ranks below it, it keeps the processor
-    /// without a scan.
+    /// The thread to dispatch. Under EDF, the earliest-deadline runnable
+    /// thread (stale heap entries are popped). Under fixed priorities, the
+    /// first set bit of the rank bitmap, with the ceiling-gated fast resume:
+    /// while the previously dispatched thread is still mid-computation and
+    /// everything woken since the last decision ranks below it, it keeps
+    /// the processor without a scan.
     // rt-lint: zero-alloc
     fn pick(&mut self) -> Option<usize> {
+        if EDF {
+            while let Some(&Reverse((deadline, tid))) = self.ready_edf.peek() {
+                if self.is_runnable(tid) && self.threads[tid].deadline == deadline {
+                    return Some(tid);
+                }
+                self.ready_edf.pop();
+            }
+            return None;
+        }
         if let Some((tid, rank)) = self.running {
             if self.woken_min_rank > rank
                 && matches!(self.threads[tid].status, Status::Computing { .. })
@@ -648,8 +721,14 @@ impl<'p, 's> FastDriver<'p, 's> {
             }
         }
         self.woken_min_rank = u32::MAX;
-        let tid = self.pick_scan()?;
-        self.running = Some((tid, self.rank_of[tid]));
+        let (word_index, word) = self
+            .runnable
+            .iter()
+            .enumerate()
+            .find(|(_, &word)| word != 0)?;
+        let rank = word_index * 64 + word.trailing_zeros() as usize;
+        let tid = self.order[rank] as usize;
+        self.running = Some((tid, rank as u32));
         Some(tid)
     }
 
@@ -658,7 +737,7 @@ impl<'p, 's> FastDriver<'p, 's> {
             self.zero_steps += 1;
             assert!(
                 self.zero_steps < MAX_ZERO_TIME_STEPS,
-                "fast path made {MAX_ZERO_TIME_STEPS} scheduling decisions at {now} without \
+                "driver made {MAX_ZERO_TIME_STEPS} scheduling decisions at {now} without \
                  advancing time: a ThreadBody is not making progress",
                 now = self.now
             );
@@ -669,7 +748,7 @@ impl<'p, 's> FastDriver<'p, 's> {
 
     /// Everything due at or before `now`: timed wakes and wheel releases
     /// first, then the timer fires replayed in (timer creation order,
-    /// occurrence instant) order — the engine's exact drain semantics.
+    /// occurrence instant) order — the oracle's exact drain semantics.
     fn drain(&mut self) {
         if !self.until_wakes.is_empty() {
             let mut i = 0;
@@ -689,32 +768,41 @@ impl<'p, 's> FastDriver<'p, 's> {
 
         for gi in 0..self.groups.len() {
             while self.groups[gi].next <= self.now {
-                let period = self.groups[gi].period;
-                let ceiling = self.groups[gi].ceiling;
                 let mut released_any = false;
                 for mi in 0..self.groups[gi].members.len() {
                     let tid = self.groups[gi].members[mi] as usize;
                     let slot = &mut self.threads[tid];
-                    if matches!(slot.status, Status::BlockedForPeriod) {
-                        // rt-lint: allow(panic, reason = "only periodic schedulables are enrolled in the timer wheel groups")
-                        let periodic = slot.periodic.as_mut().expect("wheel members are periodic");
-                        if periodic.next <= self.now {
-                            periodic.next += periodic.period;
-                            slot.status = match &mut slot.body {
-                                Body::Task(body) => start_period(body, self.now),
-                                Body::Server(_) => Status::Ready(Completion::PeriodStarted),
-                            };
-                            let rank = self.rank_of[tid];
-                            self.runnable[(rank / 64) as usize] |= 1u64 << (rank % 64);
-                            released_any = true;
-                        }
+                    if !matches!(slot.status, Status::BlockedForPeriod) {
+                        continue;
                     }
+                    // rt-lint: allow(panic, reason = "only periodic schedulables are enrolled in the timer wheel groups")
+                    let periodic = slot.periodic.as_mut().expect("wheel members are periodic");
+                    if periodic.next > self.now {
+                        continue;
+                    }
+                    let deadline = periodic.take();
+                    slot.status = match &mut slot.body {
+                        Body::Task(body) => start_period(body, self.now),
+                        Body::Server(_) => Status::Ready(Completion::PeriodStarted),
+                    };
+                    if EDF {
+                        slot.deadline = deadline;
+                        self.mark_runnable(tid);
+                    } else {
+                        let rank = self.rank_of[tid];
+                        self.runnable[(rank / 64) as usize] |= 1u64 << (rank % 64);
+                    }
+                    if PR::ENABLED {
+                        self.probe.release(self.now);
+                    }
+                    released_any = true;
                 }
                 if released_any {
                     // One O(1) update for the whole group: the precomputed
                     // ceiling is the best rank any member can contribute.
-                    self.woken_min_rank = self.woken_min_rank.min(ceiling);
+                    self.woken_min_rank = self.woken_min_rank.min(self.groups[gi].ceiling);
                 }
+                let period = self.groups[gi].period;
                 self.groups[gi].next += period;
             }
         }
@@ -796,29 +884,19 @@ impl<'p, 's> FastDriver<'p, 's> {
     }
 
     /// Fires an event now: run its (static) hook, cascade, then wake or
-    /// credit — the engine's `fire_event_now` over the hook table.
+    /// credit — the oracle's `fire_event_now` over the hook table.
     fn fire_event(&mut self, event: usize) {
         self.fire_queue.push_back(event);
         while let Some(event) = self.fire_queue.pop_front() {
+            if PR::ENABLED {
+                self.probe.fire(self.now);
+            }
             match self.events[event].kind {
                 EventKind::Plain => {}
-                EventKind::SwapReplenish { lane, wakeup }
-                | EventKind::SsReplenish { lane, wakeup } => {
-                    if self.shareds[lane]
-                        .borrow_mut()
-                        .apply_due_replenishments(self.now)
-                    {
+                EventKind::Replenish { rule, lane, wakeup } => {
+                    if self.shareds[lane].borrow_mut().on_replenish(rule, self.now) {
                         self.fire_queue.push_back(wakeup);
                     }
-                }
-                EventKind::DsReplenish { lane, wakeup } => {
-                    let mut state = self.shareds[lane].borrow_mut();
-                    state.apply_due_mode_changes(self.now);
-                    if state.policy == ServerPolicyKind::Deferrable {
-                        state.replenish(self.now);
-                    }
-                    drop(state);
-                    self.fire_queue.push_back(wakeup);
                 }
                 EventKind::Sae {
                     lane,
@@ -860,11 +938,12 @@ impl<'p, 's> FastDriver<'p, 's> {
             unreachable!("pump_task requires a periodic worker")
         };
         let mut ctx = BodyCtx::new(now);
-        let mut blocked = false;
-        match body.next_action(&mut ctx, completion) {
-            Action::Compute { amount, unit } => {
-                slot.status = start_compute(amount, unit);
-            }
+        let action = body.next_action(&mut ctx, completion);
+        debug_assert!(ctx.take_fire_requests().is_empty());
+        debug_assert!(ctx.take_timer_requests().is_empty());
+        debug_assert!(ctx.take_deadline_request().is_none());
+        match action {
+            Action::Compute { amount, unit } => slot.status = compute(amount, None, unit),
             Action::WaitForNextPeriod => {
                 let periodic = slot
                     .periodic
@@ -874,78 +953,45 @@ impl<'p, 's> FastDriver<'p, 's> {
                 if periodic.next <= now {
                     // Released in place; the wheel's grid point for this
                     // release (if still ahead) drains as a no-op.
-                    periodic.next += periodic.period;
+                    let deadline = periodic.take();
                     slot.status = start_period(body, now);
+                    self.set_deadline(tid, deadline);
+                    if PR::ENABLED {
+                        self.probe.release(now);
+                    }
                 } else {
                     slot.status = Status::BlockedForPeriod;
-                    blocked = true;
+                    self.unmark_runnable(tid);
                 }
             }
             _ => unreachable!("periodic workers only compute or wait for their period"),
         }
-        debug_assert!(ctx.take_fire_requests().is_empty());
-        debug_assert!(ctx.take_timer_requests().is_empty());
-        debug_assert!(ctx.take_deadline_request().is_none());
-        if blocked {
-            self.unmark_runnable(tid);
-        }
     }
 
     /// Pumps a Ready thread's body once, applying its action and requests
-    /// with the engine's ordering: deadline (ignored under fixed priorities),
-    /// action, fires, timers.
+    /// with the oracle's ordering: deadline, action, fires, timers.
     fn pump(&mut self, tid: usize) {
-        let completion = match self.threads[tid].status {
-            Status::Ready(completion) => completion,
-            _ => unreachable!("pump requires a Ready thread"),
+        let Status::Ready(completion) = self.threads[tid].status else {
+            unreachable!("pump requires a Ready thread")
         };
-        if matches!(self.threads[tid].body, Body::Task(_)) {
+        let Body::Server(body) = &mut self.threads[tid].body else {
             return self.pump_task(tid, completion);
-        }
+        };
         let mut ctx = BodyCtx::new(self.now);
-        let action = self.threads[tid].body.next_action(&mut ctx, completion);
-        let fires = ctx.take_fire_requests();
-        let timers = ctx.take_timer_requests();
-        // Fixed-priority dispatch ignores published deadlines.
-        let _ = ctx.take_deadline_request();
+        let action = body.next_action(&mut ctx, completion);
+        // A published deadline re-keys first, so a release crossed by the
+        // action below overrides it with the fresh job's deadline.
+        if let Some(deadline) = ctx.take_deadline_request() {
+            self.set_deadline(tid, deadline);
+        }
 
-        match action {
-            Action::Compute { amount, unit } => {
-                self.threads[tid].status = if amount.is_zero() {
-                    Status::Ready(Completion::Computed {
-                        consumed: Span::ZERO,
-                    })
-                } else {
-                    Status::Computing {
-                        remaining: amount,
-                        budget: None,
-                        unit,
-                        consumed: Span::ZERO,
-                    }
-                };
-            }
+        let status = match action {
+            Action::Compute { amount, unit } => compute(amount, None, unit),
             Action::ComputeInterruptible {
                 amount,
                 budget,
                 unit,
-            } => {
-                self.threads[tid].status = if amount.is_zero() {
-                    Status::Ready(Completion::Computed {
-                        consumed: Span::ZERO,
-                    })
-                } else if budget.is_zero() {
-                    Status::Ready(Completion::Interrupted {
-                        consumed: Span::ZERO,
-                    })
-                } else {
-                    Status::Computing {
-                        remaining: amount,
-                        budget: Some(budget),
-                        unit,
-                        consumed: Span::ZERO,
-                    }
-                };
-            }
+            } => compute(amount, Some(budget), unit),
             Action::WaitForNextPeriod => {
                 let periodic = self.threads[tid]
                     .periodic
@@ -955,48 +1001,47 @@ impl<'p, 's> FastDriver<'p, 's> {
                 if periodic.next <= self.now {
                     // Released in place; the wheel's grid point for this
                     // release (if still ahead) drains as a no-op.
-                    periodic.next += periodic.period;
-                    self.threads[tid].status = Status::Ready(Completion::PeriodStarted);
+                    let deadline = periodic.take();
+                    self.set_deadline(tid, deadline);
+                    if PR::ENABLED {
+                        self.probe.release(self.now);
+                    }
+                    Status::Ready(Completion::PeriodStarted)
                 } else {
-                    self.threads[tid].status = Status::BlockedForPeriod;
-                    self.unmark_runnable(tid);
+                    Status::BlockedForPeriod
                 }
             }
+            Action::WaitUntil(at) if at <= self.now => Status::Ready(Completion::TimeReached),
             Action::WaitUntil(at) => {
-                if at <= self.now {
-                    self.threads[tid].status = Status::Ready(Completion::TimeReached);
-                } else {
-                    self.threads[tid].status = Status::BlockedUntil(at);
-                    self.unmark_runnable(tid);
-                    self.until_wakes.push((at, tid));
-                    self.next_due = self.next_due.min(at);
-                }
+                self.until_wakes.push((at, tid));
+                self.next_due = self.next_due.min(at);
+                Status::BlockedUntil(at)
             }
             Action::WaitForEvent(event) => {
-                let event = event.raw();
-                if self.events[event].pending > 0 {
-                    self.events[event].pending -= 1;
-                    self.threads[tid].status = Status::Ready(Completion::EventFired);
+                let event = &mut self.events[event.raw()];
+                if event.pending > 0 {
+                    event.pending -= 1;
+                    Status::Ready(Completion::EventFired)
                 } else {
                     debug_assert!(
-                        self.events[event].waiter.is_none(),
+                        event.waiter.is_none(),
                         "framework events have at most one waiter"
                     );
-                    self.events[event].waiter = Some(tid);
-                    self.threads[tid].status = Status::BlockedOnEvent;
-                    self.unmark_runnable(tid);
+                    event.waiter = Some(tid);
+                    Status::BlockedOnEvent
                 }
             }
-            Action::Terminate => {
-                self.threads[tid].status = Status::Terminated;
-                self.unmark_runnable(tid);
-            }
+            Action::Terminate => Status::Terminated,
+        };
+        if !matches!(status, Status::Ready(_) | Status::Computing { .. }) {
+            self.unmark_runnable(tid);
         }
+        self.threads[tid].status = status;
 
-        for event in fires {
+        for event in ctx.take_fire_requests() {
             self.fire_event(event.raw());
         }
-        for (at, event) in timers {
+        for (at, event) in ctx.take_timer_requests() {
             if at <= self.now {
                 self.pending_overhead += self.timer_fire;
                 self.fire_event(event.raw());
@@ -1022,7 +1067,7 @@ impl<'p, 's> FastDriver<'p, 's> {
             .max(self.now + Span::from_ticks(1))
     }
 
-    /// The engine run loop over the substrate tables.
+    /// The decision loop over the substrate tables.
     // rt-lint: zero-alloc
     fn run(&mut self) {
         while self.now < self.horizon {
@@ -1032,6 +1077,10 @@ impl<'p, 's> FastDriver<'p, 's> {
 
             if !self.pending_overhead.is_zero() {
                 let slice = self.pending_overhead.min(self.horizon.since(self.now));
+                if PR::ENABLED {
+                    self.probe
+                        .slice(ExecUnit::TimerOverhead, self.now, self.now + slice);
+                }
                 self.trace
                     .push_segment(ExecUnit::TimerOverhead, self.now, self.now + slice);
                 self.now += slice;
@@ -1040,9 +1089,15 @@ impl<'p, 's> FastDriver<'p, 's> {
                 continue;
             }
 
+            if PR::ENABLED {
+                self.probe.decision(self.now);
+            }
             let Some(tid) = self.pick() else {
                 let next = self.next_preemption_time();
                 debug_assert!(next > self.now);
+                if PR::ENABLED {
+                    self.probe.slice(ExecUnit::Idle, self.now, next);
+                }
                 self.trace.push_segment(ExecUnit::Idle, self.now, next);
                 self.now = next;
                 self.zero_steps = 0;
@@ -1052,10 +1107,12 @@ impl<'p, 's> FastDriver<'p, 's> {
             if matches!(self.threads[tid].status, Status::Ready(_)) {
                 self.pump(tid);
                 self.note_progress(Span::ZERO);
-                // Fused dispatch: when the pump left this thread computing,
-                // woke nothing that outranks it and charged no overhead, the
-                // next decision would re-pick it — slice immediately.
-                if !self.pending_overhead.is_zero()
+                // Fused dispatch (fixed priorities): when the pump left this
+                // thread computing, woke nothing that outranks it and
+                // charged no overhead, the next decision would re-pick it —
+                // slice immediately.
+                if EDF
+                    || !self.pending_overhead.is_zero()
                     || self.woken_min_rank <= self.rank_of[tid]
                     || !matches!(self.threads[tid].status, Status::Computing { .. })
                 {
@@ -1082,12 +1139,28 @@ impl<'p, 's> FastDriver<'p, 's> {
             }
             debug_assert!(!slice.is_zero(), "computations always make progress");
             let unit = *unit;
+            if PR::ENABLED {
+                if let Some(prev) = self.incomplete.take() {
+                    if prev != unit {
+                        self.probe.preemption(prev, self.now);
+                    }
+                }
+                self.probe.dispatch(unit, self.now);
+                self.probe.slice(unit, self.now, self.now + slice);
+            }
             self.trace.push_segment(unit, self.now, self.now + slice);
             self.now += slice;
             *remaining = remaining.minus(slice);
             *consumed += slice;
             if let Some(budget) = budget {
                 *budget = budget.minus(slice);
+            }
+            if PR::ENABLED {
+                // A budget cut ends the job (the body sees `Interrupted`),
+                // so only a genuinely unfinished computation is a preemption
+                // candidate.
+                self.incomplete =
+                    (!remaining.is_zero() && *budget != Some(Span::ZERO)).then_some(unit);
             }
             if remaining.is_zero() {
                 let consumed = *consumed;
@@ -1104,7 +1177,8 @@ impl<'p, 's> FastDriver<'p, 's> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rt_model::{Priority, ServerSpec, SystemSpec};
+    use crate::system::{execute_reference, ExecutionConfig};
+    use rt_model::{ServerSpec, SystemSpec};
 
     fn table1(policy: ServerPolicyKind, capacity: u64, events: &[(u64, u64)]) -> SystemSpec {
         let mut b = SystemSpec::builder("fastpath-table-1");
@@ -1135,21 +1209,26 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn assert_fastpath_matches_interpreted(spec: &SystemSpec, config: &ExecutionConfig) {
-        let plan = ExecutionPlan::prepare(spec, config).expect("valid spec");
-        let substrate = SubstratePlan::analyze(spec, config);
-        let interpreted = plan.run();
-        let fast = plan.run_with_substrate(&substrate);
-        assert_eq!(
-            interpreted.render_canonical(),
-            fast.render_canonical(),
-            "fast path diverged from the interpreted engine"
-        );
-        assert_eq!(interpreted, fast);
+    /// The driver matches the oracle on `spec` under both dispatching
+    /// policies.
+    fn assert_driver_matches_the_oracle(spec: &SystemSpec, config: &ExecutionConfig) {
+        for scheduling in [SchedulingPolicy::FixedPriority, SchedulingPolicy::Edf] {
+            let mut spec = spec.clone();
+            spec.scheduling = scheduling;
+            let plan = ExecutionPlan::prepare(&spec, config).expect("valid spec");
+            let oracle = execute_reference(&spec, config);
+            let driver = plan.run();
+            assert_eq!(
+                oracle.render_canonical(),
+                driver.render_canonical(),
+                "{scheduling:?}: the driver diverged from the oracle"
+            );
+            assert_eq!(oracle, driver);
+        }
     }
 
     #[test]
-    fn fastpath_matches_interpreted_across_policies_and_overheads() {
+    fn driver_matches_the_oracle_across_policies_and_overheads() {
         let events: Vec<(u64, u64)> = (0..12).map(|i| (i * 3 + 1, 2)).collect();
         for policy in [
             ServerPolicyKind::Polling,
@@ -1158,13 +1237,13 @@ mod tests {
             ServerPolicyKind::Sporadic,
         ] {
             let spec = table1(policy, 3, &events);
-            assert_fastpath_matches_interpreted(&spec, &ExecutionConfig::ideal());
-            assert_fastpath_matches_interpreted(&spec, &ExecutionConfig::reference());
+            assert_driver_matches_the_oracle(&spec, &ExecutionConfig::ideal());
+            assert_driver_matches_the_oracle(&spec, &ExecutionConfig::reference());
         }
     }
 
     #[test]
-    fn fastpath_matches_interpreted_with_faults_and_mode_changes() {
+    fn driver_matches_the_oracle_with_faults_and_mode_changes() {
         let mut spec = table1(ServerPolicyKind::Deferrable, 3, &[(0, 3), (4, 1), (9, 2)]);
         spec.faults = rt_model::FaultPlan::new()
             .overrun(spec.aperiodics[2].id, Span::from_units(2))
@@ -1172,7 +1251,7 @@ mod tests {
                 rt_model::ModeChange::at(Instant::from_units(1), 0)
                     .with_capacity(Span::from_units(1)),
             );
-        assert_fastpath_matches_interpreted(&spec, &ExecutionConfig::reference());
+        assert_driver_matches_the_oracle(&spec, &ExecutionConfig::reference());
 
         let mut spec = table1(ServerPolicyKind::Deferrable, 2, &[(0, 2), (3, 2)]);
         spec.faults = rt_model::FaultPlan::new().mode_change(
@@ -1181,23 +1260,13 @@ mod tests {
                 .with_capacity(Span::from_units(2))
                 .with_period(Span::from_units(6)),
         );
-        assert_fastpath_matches_interpreted(&spec, &ExecutionConfig::reference());
-    }
-
-    #[test]
-    fn edf_plans_fall_back_to_the_interpreted_run() {
-        let mut spec = table1(ServerPolicyKind::Deferrable, 3, &[(0, 2), (7, 2)]);
-        spec.scheduling = SchedulingPolicy::Edf;
-        let config = ExecutionConfig::reference();
-        let plan = ExecutionPlan::prepare(&spec, &config).expect("valid spec");
-        let substrate = SubstratePlan::analyze(&spec, &config);
-        assert_eq!(plan.run(), plan.run_with_substrate(&substrate));
+        assert_driver_matches_the_oracle(&spec, &ExecutionConfig::reference());
     }
 
     #[test]
     fn substrate_ranks_follow_priority_then_spawn_order() {
         let spec = table1(ServerPolicyKind::Polling, 3, &[(0, 2)]);
-        let substrate = SubstratePlan::analyze(&spec, &ExecutionConfig::ideal());
+        let substrate = SubstratePlan::analyze(&spec);
         // Server (priority 30) ranks first, then tau1 (20), then tau2 (10).
         assert_eq!(substrate.order, vec![0, 1, 2]);
         assert_eq!(substrate.rank_of, vec![0, 1, 2]);

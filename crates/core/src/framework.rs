@@ -23,12 +23,22 @@ use crate::handler::{QueuedRelease, ServableHandler};
 use crate::polling::PollingServerBody;
 use crate::queue::QueueKind;
 use crate::sporadic::SporadicServerBody;
-use crate::state::{ServerShared, SharedServer};
+use crate::state::{ReplenishRule, ServerShared, SharedServer};
 use rt_model::{
     AdmissionPolicy, EventId, Instant, ModeChange, QueueDiscipline, ServerPolicyKind, ServerSpec,
 };
-use rt_observe::Probe;
-use rtsj_emu::{Engine, EventHandle, TaskServerParameters, ThreadHandle};
+use rtsj_emu::{Engine, EventHandle, FireHook, TaskServerParameters, ThreadHandle};
+
+/// The fire hook of a replenishment event: applies `rule` to the lane
+/// ([`ServerShared::on_replenish`]) and fires `wakeup` when it asks to.
+fn replenish_hook(shared: &SharedServer, rule: ReplenishRule, wakeup: EventHandle) -> FireHook {
+    let shared = shared.clone();
+    Box::new(move |ctx| {
+        if shared.borrow_mut().on_replenish(rule, ctx.now()) {
+            ctx.fire(wakeup);
+        }
+    })
+}
 
 /// Behaviour common to every installed task server.
 pub trait TaskServer {
@@ -56,8 +66,8 @@ impl PollingTaskServer {
     /// server priority with the server period. Being periodic, the engine
     /// re-keys its EDF deadline (release + period = the replenishment-derived
     /// deadline) automatically at every activation.
-    pub fn install<P: Probe>(
-        engine: &mut Engine<P>,
+    pub fn install(
+        engine: &mut Engine,
         params: TaskServerParameters,
         queue: QueueKind,
         discipline: QueueDiscipline,
@@ -119,8 +129,8 @@ impl DeferrableTaskServer {
     /// Installs the server: creates its `wakeUp` event, spawns the handler
     /// body bound to it, and arms the periodic replenishment timer that
     /// refills the capacity and fires `wakeUp` every period.
-    pub fn install<P: Probe>(
-        engine: &mut Engine<P>,
+    pub fn install(
+        engine: &mut Engine,
         params: TaskServerParameters,
         queue: QueueKind,
         discipline: QueueDiscipline,
@@ -138,14 +148,9 @@ impl DeferrableTaskServer {
         // Chunk-replenishment machinery used only if a mode change swaps the
         // lane into the Sporadic policy: idle as long as the lane stays a DS.
         let swap_replenish = engine.create_event("replenish(swap)");
-        let swap_state = shared.clone();
         engine.add_fire_hook(
             swap_replenish,
-            Box::new(move |ctx| {
-                if swap_state.borrow_mut().apply_due_replenishments(ctx.now()) {
-                    ctx.fire(wakeup);
-                }
-            }),
+            replenish_hook(&shared, ReplenishRule::Chunks, wakeup),
         );
         let thread = engine.spawn(
             "server(DS)",
@@ -157,23 +162,9 @@ impl DeferrableTaskServer {
         // EDF rank until the first pump: the first replenishment instant.
         engine.set_thread_deadline(thread, Instant::ZERO + params.period);
         let replenish = engine.create_event("replenish");
-        let replenish_state = shared.clone();
         engine.add_fire_hook(
             replenish,
-            Box::new(move |ctx| {
-                let mut state = replenish_state.borrow_mut();
-                // A replenishment boundary is a decision instant: apply due
-                // mode changes first so a coincident capacity change refills
-                // to the new value, and stop refilling altogether once the
-                // lane has swapped away from the deferrable policy (the
-                // periodic timer itself is fixed at install).
-                state.apply_due_mode_changes(ctx.now());
-                if state.policy == ServerPolicyKind::Deferrable {
-                    state.replenish(ctx.now());
-                }
-                drop(state);
-                ctx.fire(wakeup);
-            }),
+            replenish_hook(&shared, ReplenishRule::Periodic, wakeup),
         );
         engine.add_periodic_timer(Instant::ZERO + params.period, params.period, replenish);
         DeferrableTaskServer {
@@ -218,8 +209,8 @@ pub struct BackgroundServer {
 impl BackgroundServer {
     /// Installs the background server. Its thread never publishes a
     /// deadline, so under EDF it keeps the [`Instant::MAX`] background rank.
-    pub fn install<P: Probe>(
-        engine: &mut Engine<P>,
+    pub fn install(
+        engine: &mut Engine,
         params: TaskServerParameters,
         queue: QueueKind,
         discipline: QueueDiscipline,
@@ -235,14 +226,9 @@ impl BackgroundServer {
         // As for the DS: chunk-replenishment machinery that stays idle
         // unless a mode change swaps this lane into the Sporadic policy.
         let swap_replenish = engine.create_event("replenish(swap-bg)");
-        let swap_state = shared.clone();
         engine.add_fire_hook(
             swap_replenish,
-            Box::new(move |ctx| {
-                if swap_state.borrow_mut().apply_due_replenishments(ctx.now()) {
-                    ctx.fire(wakeup);
-                }
-            }),
+            replenish_hook(&shared, ReplenishRule::Chunks, wakeup),
         );
         let thread = engine.spawn(
             "server(BG)",
@@ -296,8 +282,8 @@ impl SporadicTaskServer {
     /// credit the due replenishments and re-wake the server. The
     /// replenishment timers themselves are armed at runtime by the body,
     /// one per closed consumption chunk.
-    pub fn install<P: Probe>(
-        engine: &mut Engine<P>,
+    pub fn install(
+        engine: &mut Engine,
         params: TaskServerParameters,
         queue: QueueKind,
         discipline: QueueDiscipline,
@@ -313,17 +299,9 @@ impl SporadicTaskServer {
         );
         let wakeup = engine.create_event("wakeUp(SS)");
         let replenish = engine.create_event("replenish(SS)");
-        let replenish_state = shared.clone();
         engine.add_fire_hook(
             replenish,
-            Box::new(move |ctx| {
-                if replenish_state
-                    .borrow_mut()
-                    .apply_due_replenishments(ctx.now())
-                {
-                    ctx.fire(wakeup);
-                }
-            }),
+            replenish_hook(&shared, ReplenishRule::Chunks, wakeup),
         );
         let thread = engine.spawn(
             "server(SS)",
@@ -378,46 +356,25 @@ pub enum AnyTaskServer {
 impl AnyTaskServer {
     /// Installs the server described by a [`ServerSpec`] (the spec's own
     /// queue discipline applies).
-    pub fn install<P: Probe>(engine: &mut Engine<P>, spec: &ServerSpec, queue: QueueKind) -> Self {
-        let discipline = spec.discipline;
-        let admission = spec.admission;
+    pub fn install(engine: &mut Engine, spec: &ServerSpec, queue: QueueKind) -> Self {
+        let (params, discipline, admission) = (
+            TaskServerParameters::of_spec(spec),
+            spec.discipline,
+            spec.admission,
+        );
         match spec.policy {
             ServerPolicyKind::Polling => AnyTaskServer::Polling(PollingTaskServer::install(
-                engine,
-                TaskServerParameters::new(spec.capacity, spec.period, spec.priority),
-                queue,
-                discipline,
-                admission,
+                engine, params, queue, discipline, admission,
             )),
-            ServerPolicyKind::Deferrable => {
-                AnyTaskServer::Deferrable(DeferrableTaskServer::install(
-                    engine,
-                    TaskServerParameters::new(spec.capacity, spec.period, spec.priority),
-                    queue,
-                    discipline,
-                    admission,
-                ))
-            }
+            ServerPolicyKind::Deferrable => AnyTaskServer::Deferrable(
+                DeferrableTaskServer::install(engine, params, queue, discipline, admission),
+            ),
             ServerPolicyKind::Sporadic => AnyTaskServer::Sporadic(SporadicTaskServer::install(
-                engine,
-                TaskServerParameters::new(spec.capacity, spec.period, spec.priority),
-                queue,
-                discipline,
-                admission,
+                engine, params, queue, discipline, admission,
             )),
-            ServerPolicyKind::Background => {
-                // Background servicing has no meaningful capacity or period;
-                // carry a nominal pair so the queue structure has a packing
-                // reference (it is never used to reject work).
-                let params = TaskServerParameters::new(
-                    rt_model::Span::from_units(1),
-                    rt_model::Span::from_units(1),
-                    spec.priority,
-                );
-                AnyTaskServer::Background(BackgroundServer::install(
-                    engine, params, queue, discipline,
-                ))
-            }
+            ServerPolicyKind::Background => AnyTaskServer::Background(BackgroundServer::install(
+                engine, params, queue, discipline,
+            )),
         }
     }
 
@@ -427,8 +384,8 @@ impl AnyTaskServer {
     /// reconfigures — and re-examines its backlog under the new
     /// configuration — at the scheduled instant rather than at its next
     /// arrival; a polling lane applies due changes at its next activation.
-    pub fn install_with_faults<P: Probe>(
-        engine: &mut Engine<P>,
+    pub fn install_with_faults(
+        engine: &mut Engine,
         spec: &ServerSpec,
         queue: QueueKind,
         changes: Vec<ModeChange>,
@@ -481,8 +438,8 @@ pub struct ServableAsyncEvent {
 
 impl ServableAsyncEvent {
     /// Creates the servable event and binds it to the server.
-    pub fn create<P: Probe>(
-        engine: &mut Engine<P>,
+    pub fn create(
+        engine: &mut Engine,
         event_id: EventId,
         handler: ServableHandler,
         server: &dyn TaskServer,
@@ -514,7 +471,7 @@ impl ServableAsyncEvent {
 
     /// Schedules a fire of this event at the given instant (the emulation of
     /// the timer that releases the aperiodic event).
-    pub fn schedule_fire<P: Probe>(&self, engine: &mut Engine<P>, at: Instant) {
+    pub fn schedule_fire(&self, engine: &mut Engine, at: Instant) {
         engine.add_one_shot_timer(at, self.engine_event);
     }
 

@@ -14,9 +14,10 @@
 //!   overhead accounting ([`serve::ServiceLoop`]);
 //! * on-line response-time prediction and admission control
 //!   ([`admission`]);
-//! * a runner that executes a complete [`rt_model::SystemSpec`] on the
-//!   virtual-time RTSJ engine ([`system::execute`]) — the "execution" side of
-//!   the paper's evaluation.
+//! * a runner that executes a complete [`rt_model::SystemSpec`] in virtual
+//!   time ([`system::execute`], on the table-driven driver of [`fastpath`])
+//!   — the "execution" side of the paper's evaluation — and its naive
+//!   reference on the `rtsj-emu` engine ([`system::execute_reference`]).
 //!
 //! ## Implementation constraints (paper §4)
 //!
@@ -58,12 +59,16 @@
 //!
 //! Preparing a run ([`system::ExecutionPlan::prepare`]) is
 //! O(structure + events-within-horizon): validation, one planned-event
-//! table, and one interned [`rt_model::NameTable`] — no per-event `String`
-//! clones (handler templates carry fixed-width [`rt_model::NameId`]s), and
-//! fault-free specs are borrowed (`Cow`), never cloned. Running is
-//! O(decisions · log n) on the interpreted engine and O(decisions) on the
-//! compiled substrate ([`fastpath::SubstratePlan`]), both with zero heap
+//! table, the driver's dispatch substrate and one interned
+//! [`rt_model::NameTable`] — no per-event `String` clones (handler templates
+//! carry fixed-width [`rt_model::NameId`]s), and fault-free specs are
+//! borrowed (`Cow`), never cloned. Every execution entry point runs one
+//! table-driven decision loop ([`fastpath`]), O(1) amortized per decision
+//! under fixed priorities and O(log n) under EDF, with zero heap
 //! allocations per decision (pinned by `rt-bench`'s `zero_alloc` test).
+//! [`execute_reference`] runs the same framework on the naive `rtsj-emu`
+//! engine — O(n) per decision — as the oracle the driver is tested
+//! against.
 //! Post-run trace finalisation buckets execution segments by task in one
 //! pass — O(segments + tasks), *not* O(tasks × segments); at 300 tasks the
 //! difference is the bulk of the per-run cost.
@@ -104,7 +109,6 @@ pub use admission::{
     predicted_response, textbook_prediction, AdmissionController, AdmissionOracle,
 };
 pub use deferrable::EventDrivenServerBody;
-pub use fastpath::{rank_tables, SubstrateGroup, SubstratePlan};
 pub use framework::{
     AnyTaskServer, BackgroundServer, DeferrableTaskServer, PollingTaskServer, ServableAsyncEvent,
     SporadicTaskServer, TaskServer,
@@ -115,8 +119,8 @@ pub use queue::{PendingQueue, QueueKind};
 pub use rtsj_emu::TaskServerParameters;
 pub use serve::{ServeStep, ServiceLoop};
 pub use sporadic::SporadicServerBody;
-pub use state::{GrantedService, ServerShared, SharedServer};
-pub use system::{execute, execute_with_probe, ExecutionConfig, ExecutionPlan};
+pub use state::{GrantedService, ReplenishRule, ServerShared, SharedServer};
+pub use system::{execute, execute_reference, execute_with_probe, ExecutionConfig, ExecutionPlan};
 
 #[cfg(test)]
 mod proptests {

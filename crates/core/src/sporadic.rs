@@ -8,8 +8,8 @@
 //! anchored at the instant its first dispatch started — schedules one
 //! replenishment of exactly the consumed amount, one server period after the
 //! anchor. The replenishment is an engine-level one-shot timer armed at
-//! runtime ([`rtsj_emu::BodyCtx::arm_timer`]), riding the same event
-//! calendar as every other timer, whose fire hook credits the capacity and
+//! runtime ([`rtsj_emu::BodyCtx::arm_timer`]), handled like every other
+//! timer, whose fire hook credits the capacity and
 //! fires `wakeUp` so the server re-examines its queue.
 //!
 //! Handlers remain non-resumable (the framework's §4 constraint), so the

@@ -92,6 +92,20 @@ pub struct ServerShared {
 /// Shared handle to a server's state.
 pub type SharedServer = Rc<RefCell<ServerShared>>;
 
+/// What a lane's replenishment event does when it fires. Each rule exists
+/// once, in [`ServerShared::on_replenish`]: the framework's fire hooks and
+/// the table-driven driver's event table both call it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReplenishRule {
+    /// The Deferrable Server's periodic replenishment: apply due mode
+    /// changes, refill while the lane is still deferrable, always wake.
+    Periodic,
+    /// Chunk replenishment (a Sporadic Server, or a DS/BG lane mode-swapped
+    /// into the sporadic policy): credit the due replenishments, wake when
+    /// capacity came back.
+    Chunks,
+}
+
 impl ServerShared {
     /// Creates the state and wraps it for sharing.
     pub fn new(
@@ -153,6 +167,26 @@ impl ServerShared {
     pub fn replenish(&mut self, now: Instant) {
         self.remaining = self.params.capacity;
         self.next_replenishment = now + self.params.period;
+    }
+
+    /// Applies a replenishment `rule` at `now`, returning whether the lane's
+    /// `wakeUp` event must fire.
+    pub fn on_replenish(&mut self, rule: ReplenishRule, now: Instant) -> bool {
+        match rule {
+            ReplenishRule::Periodic => {
+                // A replenishment boundary is a decision instant: apply due
+                // mode changes first so a coincident capacity change refills
+                // to the new value, and stop refilling altogether once the
+                // lane has swapped away from the deferrable policy (the
+                // periodic timer itself is fixed at install).
+                self.apply_due_mode_changes(now);
+                if self.policy == ServerPolicyKind::Deferrable {
+                    self.replenish(now);
+                }
+                true
+            }
+            ReplenishRule::Chunks => self.apply_due_replenishments(now),
+        }
     }
 
     /// Loads the lane's scheduled mode changes (install time, scheduled

@@ -1,23 +1,31 @@
-//! Executing a complete [`SystemSpec`] on the RTSJ emulation engine.
+//! Executing a complete [`SystemSpec`] on the task-server framework.
 //!
 //! This is the "execution" side of the paper's methodology: the same system
 //! descriptions that `rtss-sim` replays under the idealised policies are
 //! instantiated here as a real task-server application — periodic real-time
 //! threads for the periodic tasks, an installed task server, one servable
 //! asynchronous event (fired by a one-shot timer) per aperiodic occurrence —
-//! and run on the virtual-time engine with its overhead model. The result is
+//! and run in virtual time with the configured overhead model. The result is
 //! the same [`Trace`] type the simulator produces, so the metrics crate
 //! treats executions and simulations identically.
+//!
+//! Every entry point ([`execute`], [`execute_with_probe`],
+//! [`ExecutionPlan::run`], [`ExecutionPlan::run_with_probe`]) runs the one
+//! table-driven driver of [`crate::fastpath`], under fixed priorities and
+//! EDF alike. [`execute_reference`] installs the same framework objects on
+//! the naive `rtsj-emu` [`Engine`] — the reference oracle the driver is
+//! tested against.
 
+use crate::fastpath::SubstratePlan;
 use crate::framework::{AnyTaskServer, ServableAsyncEvent, TaskServer};
 use crate::handler::ServableHandler;
 use crate::queue::QueueKind;
 use rt_model::{
     AperiodicFate, AperiodicOutcome, ExecUnit, Instant, ModelError, NameTable, PeriodicJobRecord,
-    PeriodicTask, SchedulingPolicy, Span, SystemSpec, Trace,
+    PeriodicTask, Span, SystemSpec, Trace,
 };
 use rt_observe::{NoopProbe, Probe};
-use rtsj_emu::{Engine, EngineConfig, OverheadModel, SchedulerKind};
+use rtsj_emu::{Engine, EngineConfig, OverheadModel, PeriodicThreadBody};
 use std::borrow::Cow;
 
 /// Configuration of an execution run.
@@ -27,14 +35,6 @@ pub struct ExecutionConfig {
     pub overhead: OverheadModel,
     /// Pending-queue structure used by the server.
     pub queue: QueueKind,
-    /// Engine scheduling structures (indexed by default; the linear-scan
-    /// reference exists for differential tests and benchmarks).
-    pub scheduler: SchedulerKind,
-    /// Scheduling-policy override: `None` (the default) follows the
-    /// [`SystemSpec::scheduling`] knob of the executed system; `Some` forces
-    /// the policy regardless of the spec — handy for differential tests
-    /// comparing the same system under both policies.
-    pub scheduling: Option<SchedulingPolicy>,
 }
 
 impl ExecutionConfig {
@@ -44,8 +44,6 @@ impl ExecutionConfig {
         ExecutionConfig {
             overhead: OverheadModel::reference(),
             queue: QueueKind::Fifo,
-            scheduler: SchedulerKind::Indexed,
-            scheduling: None,
         }
     }
 
@@ -55,8 +53,6 @@ impl ExecutionConfig {
         ExecutionConfig {
             overhead: OverheadModel::none(),
             queue: QueueKind::Fifo,
-            scheduler: SchedulerKind::Indexed,
-            scheduling: None,
         }
     }
 
@@ -71,19 +67,6 @@ impl ExecutionConfig {
         self.overhead = overhead;
         self
     }
-
-    /// Replaces the engine scheduler implementation.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Forces a scheduling policy, overriding the executed system's own
-    /// [`SystemSpec::scheduling`] knob.
-    pub fn with_scheduling(mut self, scheduling: SchedulingPolicy) -> Self {
-        self.scheduling = Some(scheduling);
-        self
-    }
 }
 
 impl Default for ExecutionConfig {
@@ -92,7 +75,8 @@ impl Default for ExecutionConfig {
     }
 }
 
-/// Executes the system on the emulation engine and returns its trace.
+/// Executes the system and returns its trace. The system's
+/// [`SystemSpec::scheduling`] knob picks fixed-priority or EDF dispatching.
 ///
 /// ```
 /// use rt_model::{Instant, Priority, ServerSpec, Span, SystemSpec};
@@ -134,10 +118,27 @@ pub fn execute_with_probe<P: Probe>(
         .run_with_probe(probe)
 }
 
-/// One aperiodic occurrence as the engine installs it: the routed server
-/// index, the handler template and the fire instant, precomputed so a run
-/// does not re-derive them from the spec. Fully `Copy` — the handler name is
-/// interned in the plan's [`NameTable`].
+/// Executes the system on the naive `rtsj-emu` [`Engine`] — the execution
+/// world's reference oracle. The real framework objects are installed
+/// ([`AnyTaskServer`] per server, one [`ServableAsyncEvent`] and firing
+/// timer per planned occurrence, a periodic real-time thread per task), and
+/// the engine rescans every thread and timer at every decision. Traces are
+/// byte-identical to [`execute`]; the differential tests, the fuzzer and
+/// the goldens pin the driver to this function.
+///
+/// # Panics
+/// Panics when the specification fails validation.
+pub fn execute_reference(spec: &SystemSpec, config: &ExecutionConfig) -> Trace {
+    ExecutionPlan::prepare(spec, config)
+        // rt-lint: allow(panic, reason = "documented '# Panics' contract: the convenience entry point fails loudly on invalid specs")
+        .expect("execute_reference() requires a valid system specification")
+        .run_reference()
+}
+
+/// One aperiodic occurrence as the driver and the oracle install it: the
+/// routed server index, the handler template and the fire instant,
+/// precomputed so a run does not re-derive them from the spec. Fully `Copy`
+/// — the handler name is interned in the plan's [`NameTable`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PlannedEvent {
     pub(crate) server: usize,
@@ -147,13 +148,13 @@ pub(crate) struct PlannedEvent {
 }
 
 /// The compiled schedulable table of one system × configuration: everything
-/// [`execute`] derives from the spec before the engine starts — validation,
-/// the resolved scheduling policy, the engine configuration, the servable
-/// handler templates of the events that actually install (released within
-/// the horizon, routed to an existing server) — computed once in
-/// [`ExecutionPlan::prepare`] and replayed by [`ExecutionPlan::run`] as many
-/// times as needed. [`execute`] is `prepare().run()`, so planned and direct
-/// executions are byte-identical by construction.
+/// [`execute`] derives from the spec before the driver starts — validation,
+/// the servable handler templates of the events that actually install
+/// (released within the horizon, routed to an existing server) and the
+/// driver's dispatch substrate — computed once in [`ExecutionPlan::prepare`]
+/// and replayed by [`ExecutionPlan::run`] as many times as needed.
+/// [`execute`] is `prepare().run()`, so planned and direct executions are
+/// byte-identical by construction.
 /// The plan borrows the spec it was prepared from (`Cow`): a fault-free spec
 /// is never cloned, and preparing allocates O(events-within-horizon) for the
 /// planned-event table plus the interned [`NameTable`] — no per-event
@@ -163,8 +164,8 @@ pub struct ExecutionPlan<'a> {
     pub(crate) spec: Cow<'a, SystemSpec>,
     pub(crate) names: NameTable,
     pub(crate) config: ExecutionConfig,
-    pub(crate) engine_config: EngineConfig,
     pub(crate) events: Vec<PlannedEvent>,
+    pub(crate) substrate: SubstratePlan,
 }
 
 impl<'a> ExecutionPlan<'a> {
@@ -185,16 +186,11 @@ impl<'a> ExecutionPlan<'a> {
     pub fn prepare_prevalidated(spec: &'a SystemSpec, config: &ExecutionConfig) -> Self {
         // Arrival faults (release jitter, dropped arrivals) are a pure spec
         // normalization: the plan is frozen over the faulted arrival stream,
-        // so the engine below never sees them. Fault-free specs stay borrowed.
+        // so the driver below never sees them. Fault-free specs stay borrowed.
         let spec = match spec.apply_arrival_faults() {
             Some(faulted) => Cow::Owned(faulted),
             None => Cow::Borrowed(spec),
         };
-        let policy = config.scheduling.unwrap_or(spec.scheduling);
-        let engine_config = EngineConfig::new(spec.horizon)
-            .with_overhead(config.overhead)
-            .with_scheduler(config.scheduler)
-            .with_policy(policy);
         let mut names = NameTable::new();
         let events = spec
             .workload()
@@ -216,12 +212,13 @@ impl<'a> ExecutionPlan<'a> {
                 release: event.release,
             })
             .collect();
+        let substrate = SubstratePlan::analyze(&spec);
         ExecutionPlan {
             spec,
             names,
             config: *config,
-            engine_config,
             events,
+            substrate,
         }
     }
 
@@ -242,8 +239,8 @@ impl<'a> ExecutionPlan<'a> {
         &self.config
     }
 
-    /// Runs the plan on a fresh engine and returns its trace. Reusable: the
-    /// plan holds no run state.
+    /// Runs the plan on the table-driven driver and returns its trace.
+    /// Reusable: the plan holds no run state.
     pub fn run(&self) -> Trace {
         self.run_with_probe(NoopProbe)
     }
@@ -253,19 +250,25 @@ impl<'a> ExecutionPlan<'a> {
     /// [`Probe::ENABLED`], so `run()` *is* this method monomorphized over
     /// [`NoopProbe`].
     ///
-    /// The engine reports the decision-loop hooks live (decisions,
-    /// dispatches, preemptions, slices, releases, fires, calendar size);
-    /// admission verdicts happen inside the shared server lanes, which the
-    /// engine's probe cannot reach, so each lane keeps an always-on
-    /// [`rt_observe::LaneTotals`] tally that is handed to
+    /// The driver reports the decision-loop hooks live (decisions,
+    /// dispatches, preemptions, slices, releases, fires); admission verdicts
+    /// happen inside the shared server lanes, so each lane keeps an
+    /// always-on [`rt_observe::LaneTotals`] tally that is handed to
     /// [`Probe::lane_totals`] once the run finishes. Pass `&mut probe` to
     /// keep the recording.
-    pub fn run_with_probe<P: Probe>(&self, mut probe: P) -> Trace {
-        if P::ENABLED {
-            probe.attach(self.spec.servers.len());
-        }
+    pub fn run_with_probe<P: Probe>(&self, probe: P) -> Trace {
+        crate::fastpath::run_driver(self, probe)
+    }
+
+    /// Runs the plan on the naive `rtsj-emu` [`Engine`]: the body of
+    /// [`execute_reference`].
+    fn run_reference(&self) -> Trace {
         let spec = &self.spec;
-        let mut engine = Engine::with_probe(self.engine_config, &mut probe);
+        let mut engine = Engine::new(
+            EngineConfig::new(spec.horizon)
+                .with_overhead(self.config.overhead)
+                .with_policy(spec.scheduling),
+        );
 
         // The task servers, in install (table) order; one installed server
         // per entry of `spec.servers`, each with its own pending queue.
@@ -284,16 +287,14 @@ impl<'a> ExecutionPlan<'a> {
             })
             .collect();
 
-        // The periodic tasks, as periodic real-time threads whose bodies
-        // live inline in the engine's thread table (no per-spawn boxing).
+        // The periodic tasks, as periodic real-time threads.
         for task in &spec.periodic_tasks {
-            let thread = engine.spawn_periodic_worker(
+            let thread = engine.spawn_periodic(
                 task.name.clone(),
                 task.priority,
                 Instant::ZERO + task.offset,
                 task.period,
-                task.cost,
-                ExecUnit::Task(task.id),
+                Box::new(PeriodicThreadBody::new(task.cost, ExecUnit::Task(task.id))),
             );
             if task.deadline != task.period {
                 // Constrained deadlines re-key the EDF dispatcher; under
@@ -311,17 +312,7 @@ impl<'a> ExecutionPlan<'a> {
             sae.schedule_fire(&mut engine, planned.release);
         }
 
-        // `run` consumes the engine, releasing its `&mut probe` borrow so
-        // the lane tallies can be drained into the probe below.
         let mut trace = engine.run();
-
-        if P::ENABLED {
-            for (lane, server) in servers.iter().enumerate() {
-                let totals = server.shared().borrow().totals;
-                probe.lane_totals(lane, &totals);
-            }
-        }
-
         let collected = (!servers.is_empty()).then(|| {
             servers
                 .iter()
@@ -334,7 +325,7 @@ impl<'a> ExecutionPlan<'a> {
 }
 
 /// Shared post-run finalisation of an execution trace, used by both the
-/// interpreted [`ExecutionPlan::run`] and the compiled fast path: attach the
+/// driver and the reference engine: attach the
 /// aperiodic outcomes recorded by the servers — completing them with
 /// `Unserved` for any released event with no recorded fate (e.g. the one
 /// being served when the horizon was reached) — and reconstruct the periodic

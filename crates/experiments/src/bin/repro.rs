@@ -30,11 +30,11 @@
 //! `--discipline fifo|edd` selects the servers' queue-service discipline
 //! (FIFO-with-skip vs deadline-ordered).
 //!
-//! `--compiled` routes every execution through the `rt-compile` ceiling-table
-//! fast path instead of the general emulator loop (simulations run the
-//! simulator's one driver either way). The compiled traces are
+//! `--compiled` routes every run through an `rt-compile` compiled system
+//! (both worlds run their one driver either way; the compiled path only
+//! freezes the spec once instead of re-validating it). The traces are
 //! byte-identical, so every printed number is unchanged — the flag is a
-//! determinism cross-check that also reproduces the tables faster at scale.
+//! determinism cross-check.
 //!
 //! `observe` extras: `--quick` observes 3 systems per set instead of the
 //! paper's 10 (the CI determinism smoke uses it), and `--trace-out <path>`

@@ -36,11 +36,8 @@ pub fn run_system_observed<P: Probe>(system: &SystemSpec, mode: EvaluationMode, 
         EvaluationMode::Execution => {
             execute_with_probe(system, &ExecutionConfig::reference(), probe)
         }
-        // The compiled-execution substrate fast path carries no probe
-        // parameter by design (it is the zero-overhead dispatch loop); the
-        // observed run goes through the compiled installation plan on the
-        // probe-threaded engine instead — same trace, same hook stream as
-        // the interpreted execution.
+        // The compiled system's execution plan runs the same execution
+        // driver: same trace, same hook stream as `Execution`.
         EvaluationMode::CompiledExecution => rt_compile::CompiledSystem::compile(system)
             // rt-lint: allow(panic, reason = "observed runs reuse generated paper systems, which are valid by construction")
             .expect("observed runs require a valid system specification")
@@ -173,8 +170,8 @@ impl fmt::Display for ObserveReport {
 /// `repro observe --trace-out <path>` (which exports Figure 4's Scenario
 /// Three, the richest of the paper's hand-worked schedules).
 ///
-/// The execution engine is used because its recording is the richest:
-/// calendar fires and the overhead lanes appear alongside the named task
+/// The execution world is used because its recording is the richest:
+/// event fires and the overhead lanes appear alongside the named task
 /// and handler slices. One run, one virtual timeline — so the exported
 /// slice and mark streams are monotone in `ts`, the property the CI
 /// parse-check (`rt_bench::validate_chrome_trace`) pins.

@@ -19,9 +19,8 @@ use std::fmt;
 
 /// Whether a table reports simulations (literature-exact policies, RTSS) or
 /// executions (the task-server framework on the emulated RTSJ runtime) —
-/// each available interpreted or through the `rt-compile` specialization
-/// pass (byte-identical traces, so the reported numbers cannot change; only
-/// the wall-clock cost of reproducing them does).
+/// each available directly or through an `rt-compile` compiled system
+/// (byte-identical traces, so the reported numbers cannot change).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvaluationMode {
     /// Discrete-event simulation of the textbook policy.
@@ -145,8 +144,8 @@ pub struct TableConfig {
     /// Queue-service discipline stamped on every generated server
     /// (FIFO-with-skip, the paper's rule, by default).
     pub discipline: QueueDiscipline,
-    /// Route every run through the `rt-compile` specialized engines instead
-    /// of the interpreted ones (`repro --compiled`). Traces are
+    /// Route every run through an `rt-compile` compiled system instead of
+    /// the direct entry points (`repro --compiled`). Traces are
     /// byte-identical either way, so every reported number is unchanged.
     pub compiled: bool,
 }

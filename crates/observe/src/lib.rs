@@ -128,9 +128,8 @@ pub trait Probe {
         let _ = now;
     }
 
-    /// The event calendar fired an asynchronous event at `now` (the
-    /// emulation engine's timer machinery; the simulation engines have no
-    /// calendar and never call it).
+    /// An asynchronous event fired at `now` (the execution world's timer
+    /// machinery; the simulation engines have no events and never call it).
     fn fire(&mut self, now: Instant) {
         let _ = now;
     }
@@ -153,11 +152,6 @@ pub trait Probe {
     /// Pending-queue depth of `lane` observed after an arrival was routed.
     fn queue_depth(&mut self, lane: usize, depth: u64) {
         let _ = (lane, depth);
-    }
-
-    /// Event-calendar size observed at a decision point (emulation engine).
-    fn calendar_size(&mut self, size: u64) {
-        let _ = size;
     }
 
     /// End-of-run admission/enforcement totals of `lane` (execution world
@@ -218,9 +212,6 @@ impl<P: Probe + ?Sized> Probe for &mut P {
     fn queue_depth(&mut self, lane: usize, depth: u64) {
         (**self).queue_depth(lane, depth);
     }
-    fn calendar_size(&mut self, size: u64) {
-        (**self).calendar_size(size);
-    }
     fn lane_totals(&mut self, lane: usize, totals: &LaneTotals) {
         (**self).lane_totals(lane, totals);
     }
@@ -237,7 +228,7 @@ pub struct Counters {
     pub preemptions: u64,
     /// Periodic releases and aperiodic arrivals processed.
     pub releases: u64,
-    /// Calendar fires (execution world).
+    /// Event fires (execution world).
     pub fires: u64,
     /// Arrivals admitted into a pending queue.
     pub admission_accepted: u64,
@@ -288,8 +279,6 @@ pub struct MetricsProbe {
     pub counters: Counters,
     /// Pending-queue depth observed after each arrival routing.
     pub queue_depth: TickHistogram,
-    /// Event-calendar size observed at each decision (execution world).
-    pub calendar: TickHistogram,
     /// Processor-slice lengths, in ticks.
     pub slice_len: TickHistogram,
     /// Per-lane backlog histograms (lane index capped at
@@ -328,7 +317,6 @@ impl MetricsProbe {
                 mode_changes: 0,
             },
             queue_depth: TickHistogram::new(),
-            calendar: TickHistogram::new(),
             slice_len: TickHistogram::new(),
             lane_backlog: [TickHistogram::new(); MAX_LANE_HISTOGRAMS],
             lanes: 0,
@@ -364,7 +352,6 @@ impl MetricsProbe {
     pub fn merge(&mut self, other: &MetricsProbe) {
         self.counters.merge(&other.counters);
         self.queue_depth.merge(&other.queue_depth);
-        self.calendar.merge(&other.calendar);
         self.slice_len.merge(&other.slice_len);
         for (a, b) in self.lane_backlog.iter_mut().zip(other.lane_backlog.iter()) {
             a.merge(b);
@@ -456,12 +443,6 @@ impl Probe for MetricsProbe {
         self.lane_backlog[Self::lane_slot(lane)].record(depth);
     }
 
-    // rt-lint: zero-alloc
-    #[inline]
-    fn calendar_size(&mut self, size: u64) {
-        self.calendar.record(size);
-    }
-
     fn lane_totals(&mut self, _lane: usize, totals: &LaneTotals) {
         self.counters.admission_accepted += totals.accepted;
         self.counters.admission_rejected += totals.rejected;
@@ -502,7 +483,6 @@ mod tests {
         p.mode_change(1, t1);
         p.queue_depth(0, 3);
         p.queue_depth(99, 5); // folded into the last inline lane slot
-        p.calendar_size(7);
         assert_eq!(p.counters.decisions, 1);
         assert_eq!(p.counters.dispatches, 1);
         assert_eq!(p.counters.preemptions, 1);
@@ -516,7 +496,6 @@ mod tests {
         assert_eq!(p.queue_depth.count(), 2);
         assert_eq!(p.lane_backlog[0].count(), 1);
         assert_eq!(p.lane_backlog[MAX_LANE_HISTOGRAMS - 1].count(), 1);
-        assert_eq!(p.calendar.count(), 1);
         assert_eq!(p.slice_len.count(), 1);
     }
 

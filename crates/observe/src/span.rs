@@ -1,6 +1,6 @@
 //! Span-structured decision tracing and Chrome trace-event export.
 //!
-//! [`SpanProbe`] records the engine's decision path — releases, calendar
+//! [`SpanProbe`] records the engine's decision path — releases, event
 //! fires, dispatches and processor slices, in virtual-time order — and
 //! [`chrome_trace_json`] renders the recording as Chrome trace-event JSON
 //! (the `chrome://tracing` / Perfetto interchange format): one `ph:"X"`
@@ -35,7 +35,7 @@ pub struct SliceRecord {
 pub enum MarkKind {
     /// A periodic release or aperiodic arrival.
     Release,
-    /// A calendar fire (execution world).
+    /// An event fire (execution world).
     Fire,
     /// A scheduler dispatch of the carried unit.
     Dispatch,

@@ -135,7 +135,7 @@ impl BodyCtx {
 
     /// Arms a one-shot timer firing `event` at `at` — the runtime equivalent
     /// of constructing an RTSJ `OneShotTimer` from application code. The
-    /// entry rides the engine's event calendar like any pre-run timer (the
+    /// timer behaves like any pre-run timer (the
     /// Sporadic Server schedules its per-consumption replenishments this
     /// way); an instant at or before the current time fires immediately.
     pub fn arm_timer(&mut self, at: Instant, event: EventHandle) {
@@ -154,7 +154,7 @@ impl BodyCtx {
     }
 
     /// Drains the fire requests queued by [`Self::fire`]. Public so drivers
-    /// other than the engine (the compiled execution fast path, unit tests of
+    /// other than the engine (`rt-taskserver`'s execution driver, unit tests of
     /// custom bodies) can pump a [`ThreadBody`] and apply its requests with
     /// the engine's exact ordering: deadline, action, fires, timers.
     pub fn take_fire_requests(&mut self) -> Vec<EventHandle> {

@@ -1,80 +1,46 @@
-//! The deterministic virtual-time execution engine.
+//! The deterministic virtual-time execution engine — the execution world's
+//! naive reference oracle.
 //!
 //! This is the substrate that plays the role of the RTSJ virtual machine in
 //! the paper's executions: a single processor, preemptive fixed-priority
-//! scheduling, asynchronous events fired by timers that run above every
-//! application priority, periodic real-time threads, and `Timed` budget
-//! enforcement. Unlike the simulator (`rtss-sim`), which replays idealised
-//! policies, this engine executes *code* — the [`crate::body::ThreadBody`]
-//! state machines supplied by the task-server framework — and charges the
-//! configured [`crate::overhead::OverheadModel`] for the runtime machinery.
+//! (or EDF) scheduling, asynchronous events fired by timers that run above
+//! every application priority, periodic real-time threads, and `Timed`
+//! budget enforcement. Unlike the simulator (`rtss-sim`), which replays
+//! idealised policies, this engine executes *code* — the
+//! [`crate::body::ThreadBody`] state machines supplied by the task-server
+//! framework — and charges the configured
+//! [`crate::overhead::OverheadModel`] for the runtime machinery.
 //!
 //! Time is virtual and integer (see [`rt_model::time`]), so runs are exactly
 //! reproducible; the engine never blocks the host thread.
 //!
-//! # Per-decision complexity
+//! # A deliberately naive loop
 //!
-//! The engine advances decision by decision; with `t` threads and `m` timers
-//! the cost of one decision under the default [`SchedulerKind::Indexed`]
-//! scheduler is:
-//!
-//! * **event calendar** — a [`BinaryHeap`] keyed on `(instant, entry)` holds
-//!   every future timer fire, `BlockedUntil` wake-up and periodic release.
-//!   Firing/waking everything due at the current instant is O(d·log(t+m))
-//!   for `d` due entries, and finding the next preemption instant is an O(1)
-//!   peek (amortising the lazy removal of stale entries);
-//! * **ready set** — a second [`BinaryHeap`] keyed on
-//!   `(priority, Reverse(spawn index))`, maintained incrementally on every
-//!   status transition, answers "highest-priority runnable thread" in
-//!   amortised O(1) peeks with O(log t) insertions, preserving the
-//!   documented spawn-order tie-break.
-//!
-//! The seed implementation rescanned every thread and every timer at every
-//! decision — O(t + m) per decision. That path is retained verbatim as
-//! [`SchedulerKind::LinearScan`]: the differential tests assert both
-//! schedulers produce identical traces, and the `engine_scaling` benchmark
-//! measures the gap. Under the linear scan the heaps are left empty (only
-//! the cheap `runnable` flags are kept coherent), so that path reproduces
-//! the seed's per-decision cost exactly.
-//!
-//! **Steady-state allocations.** A decision in the populated steady state
-//! performs **zero** heap allocations: the calendar drain collects due
-//! timer fires into the reused `due_fires` scratch (take / sort / clear /
-//! restore), the event-fire loop walks its cascade with the reused
-//! `fire_queue` and `cascade_scratch` buffers, hook lists are detached and
-//! reattached rather than copied, and waiter lists are walked by reference
-//! and handed back empty so every event keeps its buffer capacity. The
-//! only allocations left are amortised growth of these buffers and of the
-//! two heaps (O(log n) doublings over a whole run, none once warm). The
-//! [`SchedulerKind::LinearScan`] path keeps the seed's one `to_fire`
-//! vector per scan — that cost is part of what the scheduler comparison
-//! measures.
-//!
-//! **Body storage.** The thread table doubles as a body arena: bodies whose
-//! concrete type the engine knows (the periodic workers of
-//! [`Engine::spawn_periodic_worker`]) live inline in their thread slot, so
-//! spawning the `n`-task population of an executed system performs no
-//! per-spawn heap allocation; only the handful of framework server bodies
-//! still arrive boxed through the generic [`Engine::spawn`].
+//! Every decision rescans every timer and every thread: due timers fire in
+//! (timer creation order, occurrence instant) order, expired timed waits and
+//! periodic releases wake, the highest-ranked runnable thread is found by a
+//! linear sweep, and the next preemption instant is the minimum over every
+//! timer and blocked thread. That is O(t + m) per decision for `t` threads
+//! and `m` timers, with no cached state that could go stale. The framework's
+//! table-driven driver (`rt-taskserver`'s `fastpath` module) is the fast
+//! decision loop of the execution world; this engine is the oracle the
+//! differential tests, the fuzzer and the goldens compare it with, reached
+//! through `rt_taskserver::execute_reference`.
 //!
 //! # Scheduling policy
 //!
 //! Dispatching is governed by [`EngineConfig::policy`]
 //! ([`rt_model::SchedulingPolicy`]): preemptive fixed priorities (the RTSJ
-//! scheduler, default) or **EDF**. Under EDF the ready heap is re-keyed by
-//! each thread's current absolute deadline — `(deadline, spawn index)`,
-//! min-first, so the spawn-order tie-break is identical to the
-//! fixed-priority one. Periodic schedulables are re-keyed by the engine at
-//! every release (`release + relative_deadline`, the relative deadline
-//! defaulting to the period — see [`Engine::set_relative_deadline`]);
-//! event-driven schedulables publish their deadlines through
+//! scheduler, default) or **EDF** over each thread's current absolute
+//! deadline. Ties are broken by spawn order (earlier spawn wins) under both
+//! policies. Periodic schedulables are re-keyed by the engine at every
+//! release (`release + relative_deadline`, the relative deadline defaulting
+//! to the period — see [`Engine::set_relative_deadline`]); event-driven
+//! schedulables publish their deadlines through
 //! [`crate::body::BodyCtx::set_deadline`] (task servers publish their
 //! replenishment-derived deadlines this way) and default to
-//! [`Instant::MAX`], the background rank. Re-keying a runnable thread
-//! pushes a fresh heap entry; the stale one is discarded lazily by the
-//! dispatch peek, exactly like the calendar's stale-entry rule, so EDF
-//! decisions stay O(log t) amortised. A woken server may briefly carry the
-//! deadline of its *previous* activation; bodies only publish deadlines
+//! [`Instant::MAX`], the background rank. A woken server may briefly carry
+//! the deadline of its *previous* activation; bodies only publish deadlines
 //! that shrink over an idle period (replenishment-derived deadlines are
 //! refreshed at every pump), so the error is always toward an earlier
 //! deadline — the thread is pumped at most one zero-time decision too
@@ -83,30 +49,14 @@
 //! application thread under both policies.
 //!
 //! **Runtime-armed timers.** Bodies can arm one-shot timers mid-run through
-//! [`crate::body::BodyCtx::arm_timer`]; the entries ride the same event
-//! calendar (strictly-future instants, preserving the batching invariant),
-//! which is how the Sporadic Server schedules its per-consumption
-//! replenishments.
-//!
-//! # Same-instant batching
-//!
-//! Many decisions advance no time at all (body pumps: a thread deciding its
-//! next action). Every calendar insertion made while the engine runs is
-//! strictly in the future, so once the calendar has been drained at an
-//! instant it cannot grow another entry due at that same instant — the
-//! default engine therefore drains **once per instant** instead of once per
-//! decision, and k coincident releases cost one drain, not k (the
-//! [`SchedulerKind::LinearScan`] reference scans every decision, and its
-//! traces are identical).
-//! For the same reason an insertion only tightens the memoised
-//! next-preemption instant in place rather than invalidating it.
+//! [`crate::body::BodyCtx::arm_timer`]; a future instant becomes one more
+//! timer, a past or present one fires immediately. This is how the Sporadic
+//! Server schedules its per-consumption replenishments.
 
 use crate::body::{Action, BodyCtx, Completion, ThreadBody};
 use crate::overhead::OverheadModel;
 use rt_model::{ExecUnit, Instant, Priority, SchedulingPolicy, Span, Trace};
-use rt_observe::{NoopProbe, Probe};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Handle to an engine-level asynchronous event (the emulation of an RTSJ
 /// `AsyncEvent` instance).
@@ -162,20 +112,6 @@ impl FireCtx {
 /// (`servableEventReleased`) at fire time.
 pub type FireHook = Box<dyn FnMut(&mut FireCtx)>;
 
-/// Which scheduling-decision structures the engine uses. Both produce
-/// bit-identical traces; they differ only in per-decision cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Indexed structures: binary-heap event calendar + priority-indexed
-    /// ready set. O(log n) per decision. The default.
-    #[default]
-    Indexed,
-    /// The seed implementation: rescan every thread and timer at every
-    /// decision. O(n) per decision. Kept as the reference for differential
-    /// tests and the `engine_scaling` benchmark.
-    LinearScan,
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
@@ -184,8 +120,6 @@ pub struct EngineConfig {
     /// Overhead model charged for timers (the dispatch/enforcement components
     /// are consumed by server bodies, which read them from this model).
     pub overhead: OverheadModel,
-    /// Scheduling-decision structures (indexed by default).
-    pub scheduler: SchedulerKind,
     /// Dispatching policy: preemptive fixed priorities (the RTSJ scheduler,
     /// default) or EDF over the schedulables' absolute deadlines.
     pub policy: SchedulingPolicy,
@@ -197,7 +131,6 @@ impl EngineConfig {
         EngineConfig {
             horizon,
             overhead: OverheadModel::reference(),
-            scheduler: SchedulerKind::Indexed,
             policy: SchedulingPolicy::FixedPriority,
         }
     }
@@ -205,12 +138,6 @@ impl EngineConfig {
     /// Replaces the overhead model.
     pub fn with_overhead(mut self, overhead: OverheadModel) -> Self {
         self.overhead = overhead;
-        self
-    }
-
-    /// Replaces the scheduler implementation.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -257,34 +184,20 @@ struct PeriodicRelease {
     relative_deadline: Span,
 }
 
-/// Engine-internal storage of a schedulable's body. The thread table itself
-/// is the arena: bodies whose concrete type the engine knows are stored
-/// *inline* in their [`ThreadState`] slot — no per-spawn heap box — while
-/// framework-supplied bodies still arrive as trait objects through
-/// [`Engine::spawn`]. In the scaling workloads the inline periodic workers
-/// are the dominant population (`n` tasks vs a handful of server bodies), so
-/// spawning a large system costs O(1) allocations beyond the table growth.
-enum StoredBody {
-    /// A framework-supplied body behind a trait object.
-    Boxed(Box<dyn ThreadBody>),
-    /// An engine-owned periodic worker ([`PeriodicThreadBody`]) stored
-    /// inline.
-    Periodic(crate::handlers::PeriodicThreadBody),
-}
-
-impl StoredBody {
-    fn next_action(&mut self, ctx: &mut BodyCtx, completion: Completion) -> Action {
-        match self {
-            StoredBody::Boxed(body) => body.next_action(ctx, completion),
-            StoredBody::Periodic(body) => body.next_action(ctx, completion),
-        }
+impl PeriodicRelease {
+    /// Takes the release at `next`, returning the fresh job's absolute
+    /// deadline.
+    fn take(&mut self) -> Instant {
+        let deadline = self.next + self.relative_deadline;
+        self.next += self.period;
+        deadline
     }
 }
 
 struct ThreadState {
     name: String,
     priority: Priority,
-    body: StoredBody,
+    body: Box<dyn ThreadBody>,
     periodic: Option<PeriodicRelease>,
     status: ThreadStatus,
     /// Absolute deadline of the thread's current job, the EDF dispatching
@@ -316,36 +229,8 @@ struct TimerState {
 /// infinite loop.
 const MAX_ZERO_TIME_STEPS: u32 = 100_000;
 
-/// What a calendar entry refers to. The payload is the index of the timer or
-/// thread; entries are validated against the authoritative state on pop, so
-/// stale entries (from re-armed timers or re-blocked threads) are skipped
-/// lazily instead of being removed eagerly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum CalendarKind {
-    /// `TimerState[i]` fires at the entry instant.
-    Timer(usize),
-    /// Thread `i` leaves `BlockedUntil` at the entry instant.
-    ThreadWake(usize),
-    /// Thread `i` leaves `BlockedForPeriod` at the entry instant.
-    PeriodRelease(usize),
-}
-
-/// One future event in the engine's calendar, min-ordered by instant (the
-/// kind only breaks ties deterministically inside the heap; processing order
-/// at equal instants is re-established by the caller).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct CalendarEntry {
-    time: Instant,
-    kind: CalendarKind,
-}
-
 /// The virtual-time execution engine.
-///
-/// The probe parameter defaults to [`NoopProbe`]: `Engine` in type position
-/// is the unobserved engine, and every probe call site is gated on
-/// `P::ENABLED`, so the default instantiation compiles to the pre-probe
-/// decision loop. [`Engine::with_probe`] attaches a recording probe.
-pub struct Engine<P: Probe = NoopProbe> {
+pub struct Engine {
     config: EngineConfig,
     now: Instant,
     threads: Vec<ThreadState>,
@@ -354,66 +239,11 @@ pub struct Engine<P: Probe = NoopProbe> {
     pending_timer_overhead: Span,
     trace: Trace,
     zero_time_steps: u32,
-    /// Future timer fires, timed wake-ups and periodic releases, min-first.
-    calendar: BinaryHeap<Reverse<CalendarEntry>>,
-    /// Runnable threads by `(priority, Reverse(spawn index))`, max-first —
-    /// the spawn-order tie-break of [`Self::pick_runnable`]. May hold stale
-    /// entries; `runnable` is authoritative. Used under
-    /// [`SchedulingPolicy::FixedPriority`].
-    ready: BinaryHeap<(Priority, Reverse<usize>)>,
-    /// Runnable threads by `(deadline, spawn index)`, min-first — the same
-    /// ready heap re-keyed by absolute deadline for
-    /// [`SchedulingPolicy::Edf`], with the identical spawn-order tie-break.
-    /// May hold stale entries (a thread whose deadline moved); an entry is
-    /// live only while `runnable` is set *and* its recorded deadline matches
-    /// the thread's current one.
-    ready_edf: BinaryHeap<Reverse<(Instant, usize)>>,
-    /// Whether thread `i` is currently Ready or Computing.
-    runnable: Vec<bool>,
-    /// Memoised next decision instant (uncapped). Calendar insertions
-    /// tighten it in place (the new entry is live); it is only invalidated
-    /// when the drain loop pops entries.
-    next_event_cache: Option<Instant>,
-    /// The instant the calendar was last drained at. While the engine makes
-    /// zero-time decisions (body pumps) at one instant, nothing new can
-    /// become due — every mid-run calendar insertion is strictly in the
-    /// future — so re-draining is skipped until time advances (same-instant
-    /// batching).
-    drained_at: Option<Instant>,
-    /// Reusable scratch buffer for the timer fires collected by one calendar
-    /// drain, so steady-state decisions allocate nothing.
-    due_fires: Vec<(usize, Instant)>,
-    /// Reusable breadth-first fire queue walked by
-    /// [`Self::fire_event_now`] — same reuse discipline as `due_fires`.
-    fire_queue: VecDeque<EventHandle>,
-    /// Reusable cascade buffer handed to fire hooks through [`FireCtx`],
-    /// threaded through the fire loop so hook cascades allocate nothing in
-    /// the steady state.
-    cascade_scratch: Vec<EventHandle>,
-    /// The observation hooks. Every call site is gated on `P::ENABLED`, so
-    /// the [`NoopProbe`] instantiation compiles to the pre-probe loop.
-    probe: P,
-    /// The unit whose last compute slice ended with work remaining — the
-    /// candidate for a preemption report when the next dispatch picks
-    /// someone else. Only maintained when `P::ENABLED`.
-    incomplete: Option<ExecUnit>,
 }
 
 impl Engine {
-    /// Creates an engine with the given configuration (no probe attached).
+    /// Creates an engine with the given configuration.
     pub fn new(config: EngineConfig) -> Self {
-        Engine::with_probe(config, NoopProbe)
-    }
-}
-
-impl<P: Probe> Engine<P> {
-    /// Creates an engine with an attached [`Probe`] observing every
-    /// scheduling decision, dispatch, slice, periodic release, event fire
-    /// and calendar drain of the run. Pass `&mut probe` to keep the
-    /// recording; the caller is responsible for calling
-    /// [`Probe::attach`] if its probe needs per-lane storage (the engine
-    /// has no lane notion — servers are a framework concept).
-    pub fn with_probe(config: EngineConfig, probe: P) -> Self {
         Engine {
             now: Instant::ZERO,
             threads: Vec::new(),
@@ -422,94 +252,7 @@ impl<P: Probe> Engine<P> {
             pending_timer_overhead: Span::ZERO,
             trace: Trace::new(config.horizon),
             zero_time_steps: 0,
-            calendar: BinaryHeap::new(),
-            ready: BinaryHeap::new(),
-            ready_edf: BinaryHeap::new(),
-            runnable: Vec::new(),
-            next_event_cache: None,
-            drained_at: None,
-            due_fires: Vec::new(),
-            fire_queue: VecDeque::new(),
-            cascade_scratch: Vec::new(),
-            probe,
-            incomplete: None,
             config,
-        }
-    }
-
-    /// Inserts a calendar entry, tightening the next-decision memo (the new
-    /// entry is live, so the next decision instant is simply the smaller of
-    /// the two — no invalidation, no stale-entry re-sweep). Under the
-    /// linear-scan reference scheduler the calendar is unused, so nothing is
-    /// stored and the scan path keeps the seed's exact cost.
-    fn push_calendar(&mut self, time: Instant, kind: CalendarKind) {
-        if self.config.scheduler == SchedulerKind::Indexed {
-            self.next_event_cache = self.next_event_cache.map(|cached| cached.min(time));
-            self.calendar.push(Reverse(CalendarEntry { time, kind }));
-        } else {
-            self.next_event_cache = None;
-        }
-    }
-
-    /// True when a calendar entry still reflects the authoritative timer or
-    /// thread state it was created from.
-    fn calendar_entry_is_live(&self, entry: &CalendarEntry) -> bool {
-        match entry.kind {
-            CalendarKind::Timer(i) => {
-                let timer = &self.timers[i];
-                timer.enabled && timer.next == entry.time
-            }
-            CalendarKind::ThreadWake(t) => {
-                matches!(self.threads[t].status, ThreadStatus::BlockedUntil(at) if at == entry.time)
-            }
-            CalendarKind::PeriodRelease(t) => {
-                matches!(self.threads[t].status, ThreadStatus::BlockedForPeriod)
-                    && self.threads[t]
-                        .periodic
-                        .map(|p| p.next == entry.time)
-                        .unwrap_or(false)
-            }
-        }
-    }
-
-    /// Marks a thread runnable (Ready or Computing) in the indexed ready set
-    /// of the configured dispatching policy.
-    fn mark_runnable(&mut self, tid: usize) {
-        if !self.runnable[tid] {
-            self.runnable[tid] = true;
-            if self.config.scheduler == SchedulerKind::Indexed {
-                match self.config.policy {
-                    SchedulingPolicy::FixedPriority => {
-                        self.ready.push((self.threads[tid].priority, Reverse(tid)));
-                    }
-                    SchedulingPolicy::Edf => {
-                        self.ready_edf
-                            .push(Reverse((self.threads[tid].deadline, tid)));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Marks a thread not-runnable; its heap entry is dropped lazily.
-    fn unmark_runnable(&mut self, tid: usize) {
-        self.runnable[tid] = false;
-    }
-
-    /// Re-keys a thread's current absolute deadline. Under EDF a runnable
-    /// thread gets a fresh heap entry (the old one turns stale and is
-    /// discarded lazily by [`Self::pick_runnable`]'s deadline match); under
-    /// fixed priorities the value is only stored.
-    fn set_deadline(&mut self, tid: usize, deadline: Instant) {
-        if self.threads[tid].deadline == deadline {
-            return;
-        }
-        self.threads[tid].deadline = deadline;
-        if self.config.policy == SchedulingPolicy::Edf
-            && self.config.scheduler == SchedulerKind::Indexed
-            && self.runnable[tid]
-        {
-            self.ready_edf.push(Reverse((deadline, tid)));
         }
     }
 
@@ -543,27 +286,23 @@ impl<P: Probe> Engine<P> {
 
     /// Arms a one-shot timer that fires the event at the given instant.
     pub fn add_one_shot_timer(&mut self, at: Instant, event: EventHandle) {
-        let index = self.timers.len();
         self.timers.push(TimerState {
             event,
             next: at,
             period: None,
             enabled: true,
         });
-        self.push_calendar(at, CalendarKind::Timer(index));
     }
 
     /// Arms a periodic timer that fires the event at `start`, `start+period`, …
     pub fn add_periodic_timer(&mut self, start: Instant, period: Span, event: EventHandle) {
         assert!(!period.is_zero(), "periodic timers need a positive period");
-        let index = self.timers.len();
         self.timers.push(TimerState {
             event,
             next: start,
             period: Some(period),
             enabled: true,
         });
-        self.push_calendar(start, CalendarKind::Timer(index));
     }
 
     /// Spawns an aperiodic schedulable.
@@ -572,15 +311,6 @@ impl<P: Probe> Engine<P> {
         name: impl Into<String>,
         priority: Priority,
         body: Box<dyn ThreadBody>,
-    ) -> ThreadHandle {
-        self.spawn_stored(name, priority, StoredBody::Boxed(body))
-    }
-
-    fn spawn_stored(
-        &mut self,
-        name: impl Into<String>,
-        priority: Priority,
-        body: StoredBody,
     ) -> ThreadHandle {
         let handle = ThreadHandle(self.threads.len());
         self.threads.push(ThreadState {
@@ -591,8 +321,6 @@ impl<P: Probe> Engine<P> {
             status: ThreadStatus::Ready(Completion::Started),
             deadline: Instant::MAX,
         });
-        self.runnable.push(false);
-        self.mark_runnable(handle.0);
         handle
     }
 
@@ -612,41 +340,13 @@ impl<P: Probe> Engine<P> {
             "periodic schedulables need a positive period"
         );
         let handle = self.spawn(name, priority, body);
-        self.threads[handle.0].periodic = Some(PeriodicRelease {
+        let thread = &mut self.threads[handle.0];
+        thread.periodic = Some(PeriodicRelease {
             next: start,
             period,
             relative_deadline: period,
         });
-        self.set_deadline(handle.0, start + period);
-        handle
-    }
-
-    /// Spawns a periodic worker that computes `cost` attributed to `unit`
-    /// every `period`, with its [`crate::handlers::PeriodicThreadBody`]
-    /// stored inline in the engine's thread table instead of behind a
-    /// per-spawn heap box — the fast path for the periodic task population
-    /// of executed [`rt_model::SystemSpec`] systems.
-    pub fn spawn_periodic_worker(
-        &mut self,
-        name: impl Into<String>,
-        priority: Priority,
-        start: Instant,
-        period: Span,
-        cost: Span,
-        unit: ExecUnit,
-    ) -> ThreadHandle {
-        assert!(
-            !period.is_zero(),
-            "periodic schedulables need a positive period"
-        );
-        let body = crate::handlers::PeriodicThreadBody::new(cost, unit);
-        let handle = self.spawn_stored(name, priority, StoredBody::Periodic(body));
-        self.threads[handle.0].periodic = Some(PeriodicRelease {
-            next: start,
-            period,
-            relative_deadline: period,
-        });
-        self.set_deadline(handle.0, start + period);
+        thread.deadline = start + period;
         handle
     }
 
@@ -657,7 +357,8 @@ impl<P: Probe> Engine<P> {
     /// # Panics
     /// Panics when the handle does not refer to a periodic schedulable.
     pub fn set_relative_deadline(&mut self, handle: ThreadHandle, relative_deadline: Span) {
-        let periodic = self.threads[handle.0]
+        let thread = &mut self.threads[handle.0];
+        let periodic = thread
             .periodic
             .as_mut()
             // rt-lint: allow(panic, reason = "documented '# Panics' contract: the handle kind is part of the API")
@@ -665,8 +366,7 @@ impl<P: Probe> Engine<P> {
         periodic.relative_deadline = relative_deadline;
         // Re-key the not-yet-released first job: `next` still holds the
         // first release at this point (the engine has not run).
-        let first = periodic.next;
-        self.set_deadline(handle.0, first + relative_deadline);
+        thread.deadline = periodic.next + relative_deadline;
     }
 
     /// Sets the initial absolute deadline of an aperiodic schedulable (the
@@ -674,7 +374,7 @@ impl<P: Probe> Engine<P> {
     /// [`BodyCtx::set_deadline`]). Threads start at [`Instant::MAX`] —
     /// background rank — when this is never called.
     pub fn set_thread_deadline(&mut self, handle: ThreadHandle, deadline: Instant) {
-        self.set_deadline(handle.0, deadline);
+        self.threads[handle.0].deadline = deadline;
     }
 
     /// Name of a schedulable (for diagnostics).
@@ -690,23 +390,8 @@ impl<P: Probe> Engine<P> {
     /// Runs the system until the horizon and returns the trace.
     pub fn run(mut self) -> Trace {
         while self.now < self.config.horizon {
-            match self.config.scheduler {
-                SchedulerKind::Indexed => {
-                    // Same-instant batching: the calendar cannot have grown a
-                    // due entry since the last drain at this instant (every
-                    // mid-run insertion checks `time > now`, and nothing can
-                    // re-arm a timer from a hook or body), so consecutive
-                    // zero-time decisions skip straight to the dispatcher.
-                    if self.drained_at != Some(self.now) {
-                        self.process_due_calendar();
-                        self.drained_at = Some(self.now);
-                    }
-                }
-                SchedulerKind::LinearScan => {
-                    self.fire_due_timers_scan();
-                    self.wake_due_threads_scan();
-                }
-            }
+            self.fire_due_timers();
+            self.wake_due_threads();
 
             // The timer machinery runs above everything: charge its pending
             // cost before any application code.
@@ -716,10 +401,6 @@ impl<P: Probe> Engine<P> {
                 let slice = self
                     .pending_timer_overhead
                     .min(self.config.horizon.since(self.now));
-                if P::ENABLED {
-                    self.probe
-                        .slice(ExecUnit::TimerOverhead, self.now, self.now + slice);
-                }
                 self.trace
                     .push_segment(ExecUnit::TimerOverhead, self.now, self.now + slice);
                 self.now += slice;
@@ -728,17 +409,11 @@ impl<P: Probe> Engine<P> {
                 continue;
             }
 
-            if P::ENABLED {
-                self.probe.decision(self.now);
-            }
             let Some(tid) = self.pick_runnable() else {
                 // Idle: jump to the next instant anything can happen
                 // (next_preemption_time is already capped at the horizon).
                 let next = self.next_preemption_time();
                 debug_assert!(next > self.now);
-                if P::ENABLED {
-                    self.probe.slice(ExecUnit::Idle, self.now, next);
-                }
                 self.trace.push_segment(ExecUnit::Idle, self.now, next);
                 self.now = next;
                 self.zero_time_steps = 0;
@@ -768,16 +443,6 @@ impl<P: Probe> Engine<P> {
                 slice = slice.min(budget);
             }
             debug_assert!(!slice.is_zero(), "computations always make progress");
-            if P::ENABLED {
-                let unit = state.unit;
-                if let Some(prev) = self.incomplete.take() {
-                    if prev != unit {
-                        self.probe.preemption(prev, self.now);
-                    }
-                }
-                self.probe.dispatch(unit, self.now);
-                self.probe.slice(unit, self.now, self.now + slice);
-            }
             self.trace
                 .push_segment(state.unit, self.now, self.now + slice);
             self.now += slice;
@@ -787,13 +452,6 @@ impl<P: Probe> Engine<P> {
             state.consumed += slice;
             if let Some(budget) = &mut state.budget {
                 *budget = budget.minus(slice);
-            }
-            if P::ENABLED {
-                // A budget cut ends the job (the body sees `Interrupted`),
-                // so only a genuinely unfinished computation is a preemption
-                // candidate.
-                self.incomplete = (!state.remaining.is_zero() && state.budget != Some(Span::ZERO))
-                    .then_some(state.unit);
             }
             if state.remaining.is_zero() {
                 let consumed = state.consumed;
@@ -823,94 +481,17 @@ impl<P: Probe> Engine<P> {
         }
     }
 
-    /// Processes every calendar entry due at or before the current instant:
-    /// wakes timed waits and periodic releases, and fires due timers.
-    ///
-    /// O(d·log(t+m)) for `d` due entries. Timed wakes only flip independent
-    /// per-thread statuses, so applying them while draining the heap (before
-    /// the timer fires run their hooks) is order-equivalent to the seed's
-    /// fire-then-wake sequence: hooks and event waits never observe
-    /// `BlockedUntil` / `BlockedForPeriod` states. Timer fires are replayed
-    /// in (timer creation order, occurrence instant) order, the seed's exact
-    /// linear-scan order.
-    fn process_due_calendar(&mut self) {
-        let mut due_fires = std::mem::take(&mut self.due_fires);
-        debug_assert!(due_fires.is_empty());
-        while let Some(&Reverse(entry)) = self.calendar.peek() {
-            if entry.time > self.now {
-                break;
-            }
-            self.calendar.pop();
-            self.next_event_cache = None;
-            if !self.calendar_entry_is_live(&entry) {
-                continue;
-            }
-            match entry.kind {
-                CalendarKind::Timer(i) => {
-                    // now < horizon in the run loop, so entry.time < horizon:
-                    // the seed's `next < horizon` fire guard holds implicitly.
-                    due_fires.push((i, entry.time));
-                    match self.timers[i].period {
-                        Some(period) => {
-                            let next = entry.time + period;
-                            self.timers[i].next = next;
-                            self.calendar.push(Reverse(CalendarEntry {
-                                time: next,
-                                kind: entry.kind,
-                            }));
-                        }
-                        None => self.timers[i].enabled = false,
-                    }
-                }
-                CalendarKind::ThreadWake(t) => {
-                    self.threads[t].status = ThreadStatus::Ready(Completion::TimeReached);
-                    self.mark_runnable(t);
-                }
-                CalendarKind::PeriodRelease(t) => {
-                    let release = self.threads[t]
-                        .periodic
-                        .as_mut()
-                        // rt-lint: allow(panic, reason = "a PeriodRelease calendar entry is only enqueued for periodic schedulables")
-                        .expect("BlockedForPeriod requires periodic parameters");
-                    let job_deadline = entry.time + release.relative_deadline;
-                    release.next += release.period;
-                    self.threads[t].status = ThreadStatus::Ready(Completion::PeriodStarted);
-                    // Re-key the fresh job's deadline before the ready-heap
-                    // insertion so the EDF entry carries the new key.
-                    self.set_deadline(t, job_deadline);
-                    self.mark_runnable(t);
-                    if P::ENABLED {
-                        self.probe.release(self.now);
-                    }
-                }
-            }
-        }
-        if P::ENABLED {
-            self.probe.calendar_size(self.calendar.len() as u64);
-        }
-        due_fires.sort_unstable();
-        for &(i, _) in &due_fires {
-            self.pending_timer_overhead += self.config.overhead.timer_fire;
-            let event = self.timers[i].event;
-            self.fire_event_now(event);
-        }
-        due_fires.clear();
-        self.due_fires = due_fires;
-    }
-
-    /// Fires every timer due at or before the current instant by scanning the
-    /// whole timer list — the seed implementation, O(m) per decision
-    /// ([`SchedulerKind::LinearScan`] only).
-    fn fire_due_timers_scan(&mut self) {
+    /// Fires every timer due at or before the current instant, in (timer
+    /// creation order, occurrence instant) order, by scanning the whole
+    /// timer list.
+    fn fire_due_timers(&mut self) {
         let mut to_fire: Vec<EventHandle> = Vec::new();
         for timer in &mut self.timers {
             while timer.enabled && timer.next <= self.now && timer.next < self.config.horizon {
                 to_fire.push(timer.event);
                 match timer.period {
                     Some(period) => timer.next += period,
-                    None => {
-                        timer.enabled = false;
-                    }
+                    None => timer.enabled = false,
                 }
             }
         }
@@ -921,61 +502,42 @@ impl<P: Probe> Engine<P> {
     }
 
     /// Fires an event immediately: runs its hooks (which may cascade into
-    /// more fires) and wakes or credits its waiters.
-    pub(crate) fn fire_event_now(&mut self, event: EventHandle) {
-        let mut queue = std::mem::take(&mut self.fire_queue);
-        let mut cascade = std::mem::take(&mut self.cascade_scratch);
-        queue.push_back(event);
+    /// more fires, processed breadth-first) and wakes or credits its waiters.
+    fn fire_event_now(&mut self, event: EventHandle) {
+        let mut queue = VecDeque::from([event]);
         while let Some(event) = queue.pop_front() {
-            if P::ENABLED {
-                self.probe.fire(self.now);
-            }
             // Run the hooks with the hook list temporarily detached so hooks
-            // can be FnMut over their own captured state. The cascade buffer
-            // is threaded through the context and drained back into the fire
-            // queue, so a steady-state fire reuses both buffers.
+            // can be FnMut over their own captured state (hooks never
+            // re-enter the engine).
             let mut hooks = std::mem::take(&mut self.events[event.0].hooks);
             let mut ctx = FireCtx {
                 now: self.now,
-                cascade,
+                cascade: Vec::new(),
             };
             for hook in &mut hooks {
                 hook(&mut ctx);
             }
             self.events[event.0].hooks = hooks;
-            cascade = ctx.cascade;
-            queue.extend(cascade.drain(..));
+            queue.extend(ctx.cascade);
 
             // Wake every waiter; if nobody is waiting the fire is remembered.
-            // The waiter list is detached, walked by reference and handed
-            // back empty so the event keeps its buffer capacity (hooks never
-            // re-enter the engine, so nothing can repopulate it meanwhile).
-            let mut waiters = std::mem::take(&mut self.events[event.0].waiters);
+            let waiters = std::mem::take(&mut self.events[event.0].waiters);
             if waiters.is_empty() {
                 self.events[event.0].pending = self.events[event.0].pending.saturating_add(1);
-            } else {
-                for &tid in &waiters {
-                    self.threads[tid].status = ThreadStatus::Ready(Completion::EventFired);
-                    self.mark_runnable(tid);
-                }
-                waiters.clear();
             }
-            self.events[event.0].waiters = waiters;
+            for tid in waiters {
+                self.threads[tid].status = ThreadStatus::Ready(Completion::EventFired);
+            }
         }
-        self.fire_queue = queue;
-        self.cascade_scratch = cascade;
     }
 
-    /// Wakes every thread whose timed wait has expired by scanning the whole
-    /// thread list — the seed implementation, O(t) per decision
-    /// ([`SchedulerKind::LinearScan`] only).
-    fn wake_due_threads_scan(&mut self) {
-        for tid in 0..self.threads.len() {
-            let thread = &mut self.threads[tid];
+    /// Wakes every thread whose timed wait has expired or whose next
+    /// periodic release has come, by scanning the whole thread list.
+    fn wake_due_threads(&mut self) {
+        for thread in &mut self.threads {
             match thread.status {
                 ThreadStatus::BlockedUntil(t) if t <= self.now => {
                     thread.status = ThreadStatus::Ready(Completion::TimeReached);
-                    self.mark_runnable(tid);
                 }
                 ThreadStatus::BlockedForPeriod => {
                     let release = thread
@@ -984,14 +546,8 @@ impl<P: Probe> Engine<P> {
                         // rt-lint: allow(panic, reason = "BlockedForPeriod is only entered by periodic schedulables")
                         .expect("BlockedForPeriod requires periodic parameters");
                     if release.next <= self.now {
-                        let job_deadline = release.next + release.relative_deadline;
-                        release.next += release.period;
+                        thread.deadline = release.take();
                         thread.status = ThreadStatus::Ready(Completion::PeriodStarted);
-                        self.set_deadline(tid, job_deadline);
-                        self.mark_runnable(tid);
-                        if P::ENABLED {
-                            self.probe.release(self.now);
-                        }
                     }
                 }
                 _ => {}
@@ -1002,188 +558,94 @@ impl<P: Probe> Engine<P> {
     /// The thread to dispatch among those ready or computing: the
     /// highest-priority one under fixed priorities, the earliest-deadline one
     /// under EDF; ties are broken by spawn order (earlier spawn wins) under
-    /// both policies, which keeps runs deterministic.
-    ///
-    /// Indexed: amortised O(1) peek on the policy's ready heap (stale
-    /// entries — not-runnable threads, re-keyed deadlines — are dropped
-    /// lazily). Linear scan: O(t) sweep over every thread.
-    // rt-lint: zero-alloc
-    fn pick_runnable(&mut self) -> Option<usize> {
-        match (self.config.scheduler, self.config.policy) {
-            (SchedulerKind::Indexed, SchedulingPolicy::FixedPriority) => {
-                while let Some(&(_, Reverse(tid))) = self.ready.peek() {
-                    if self.runnable[tid] {
-                        debug_assert!(matches!(
-                            self.threads[tid].status,
-                            ThreadStatus::Ready(_) | ThreadStatus::Computing(_)
-                        ));
-                        return Some(tid);
-                    }
-                    self.ready.pop();
-                }
-                None
+    /// both policies, which keeps runs deterministic. An O(t) sweep.
+    fn pick_runnable(&self) -> Option<usize> {
+        let mut best: Option<(Priority, Instant, usize)> = None;
+        for (i, thread) in self.threads.iter().enumerate() {
+            if !matches!(
+                thread.status,
+                ThreadStatus::Ready(_) | ThreadStatus::Computing(_)
+            ) {
+                continue;
             }
-            (SchedulerKind::Indexed, SchedulingPolicy::Edf) => {
-                while let Some(&Reverse((deadline, tid))) = self.ready_edf.peek() {
-                    // Live iff still runnable *and* still keyed by this
-                    // deadline (a re-keyed thread has a fresher entry).
-                    if self.runnable[tid] && self.threads[tid].deadline == deadline {
-                        debug_assert!(matches!(
-                            self.threads[tid].status,
-                            ThreadStatus::Ready(_) | ThreadStatus::Computing(_)
-                        ));
-                        return Some(tid);
-                    }
-                    self.ready_edf.pop();
-                }
-                None
-            }
-            (SchedulerKind::LinearScan, policy) => {
-                let mut best: Option<(Priority, Instant, usize)> = None;
-                for (i, thread) in self.threads.iter().enumerate() {
-                    if !matches!(
-                        thread.status,
-                        ThreadStatus::Ready(_) | ThreadStatus::Computing(_)
-                    ) {
-                        continue;
-                    }
-                    let wins = match (&best, policy) {
-                        (None, _) => true,
-                        (Some((p, _, _)), SchedulingPolicy::FixedPriority) => {
-                            thread.priority.preempts(*p)
-                        }
-                        (Some((_, d, _)), SchedulingPolicy::Edf) => thread.deadline < *d,
-                    };
-                    if wins {
-                        best = Some((thread.priority, thread.deadline, i));
-                    }
-                }
-                best.map(|(_, _, i)| i)
+            let wins = match (&best, self.config.policy) {
+                (None, _) => true,
+                (Some((p, _, _)), SchedulingPolicy::FixedPriority) => thread.priority.preempts(*p),
+                (Some((_, d, _)), SchedulingPolicy::Edf) => thread.deadline < *d,
+            };
+            if wins {
+                best = Some((thread.priority, thread.deadline, i));
             }
         }
+        best.map(|(_, _, i)| i)
     }
 
     /// Asks the body of a Ready thread for its next action and applies it.
     fn pump_body(&mut self, tid: usize) {
-        let completion = match &self.threads[tid].status {
-            ThreadStatus::Ready(completion) => *completion,
-            _ => unreachable!("pump_body requires a Ready thread"),
+        let now = self.now;
+        let thread = &mut self.threads[tid];
+        let ThreadStatus::Ready(completion) = thread.status else {
+            unreachable!("pump_body requires a Ready thread")
         };
-        let mut ctx = BodyCtx::new(self.now);
-        let action = self.threads[tid].body.next_action(&mut ctx, completion);
-        let fires = ctx.take_fire_requests();
-        let timers = ctx.take_timer_requests();
-        let deadline = ctx.take_deadline_request();
+        let mut ctx = BodyCtx::new(now);
+        let action = thread.body.next_action(&mut ctx, completion);
 
         // A deadline published by the body re-keys its EDF rank first, so a
         // release processed by the action below (the WaitForNextPeriod
         // released-in-place path) overrides it with the fresh job's
         // deadline — a body that both publishes and crosses a release is
         // never left keyed by its previous job.
-        if let Some(deadline) = deadline {
-            self.set_deadline(tid, deadline);
+        if let Some(deadline) = ctx.take_deadline_request() {
+            thread.deadline = deadline;
         }
 
-        match action {
-            Action::Compute { amount, unit } => {
-                if amount.is_zero() {
-                    self.threads[tid].status = ThreadStatus::Ready(Completion::Computed {
-                        consumed: Span::ZERO,
-                    });
-                } else {
-                    self.threads[tid].status = ThreadStatus::Computing(ComputeState {
-                        remaining: amount,
-                        budget: None,
-                        unit,
-                        consumed: Span::ZERO,
-                    });
-                }
-            }
+        thread.status = match action {
+            Action::Compute { amount, unit } => compute(amount, None, unit),
             Action::ComputeInterruptible {
                 amount,
                 budget,
                 unit,
-            } => {
-                if amount.is_zero() {
-                    self.threads[tid].status = ThreadStatus::Ready(Completion::Computed {
-                        consumed: Span::ZERO,
-                    });
-                } else if budget.is_zero() {
-                    self.threads[tid].status = ThreadStatus::Ready(Completion::Interrupted {
-                        consumed: Span::ZERO,
-                    });
-                } else {
-                    self.threads[tid].status = ThreadStatus::Computing(ComputeState {
-                        remaining: amount,
-                        budget: Some(budget),
-                        unit,
-                        consumed: Span::ZERO,
-                    });
-                }
-            }
+            } => compute(amount, Some(budget), unit),
             Action::WaitForNextPeriod => {
-                let periodic = self.threads[tid]
+                let periodic = thread
                     .periodic
                     .as_mut()
                     // rt-lint: allow(panic, reason = "WaitForNextPeriod is emitted only by periodic workers, which carry period parameters")
                     .expect("WaitForNextPeriod requires a periodic schedulable");
-                if periodic.next <= self.now {
+                if periodic.next <= now {
                     // The release has already happened (including the very
                     // first release at the start instant): proceed without
                     // blocking and move on to the following release.
-                    let job_deadline = periodic.next + periodic.relative_deadline;
-                    periodic.next += periodic.period;
-                    self.threads[tid].status = ThreadStatus::Ready(Completion::PeriodStarted);
-                    // The thread stays runnable through the release, so the
-                    // EDF re-key pushes a fresh heap entry here (the blocked
-                    // path re-keys when the calendar wakes it instead).
-                    self.set_deadline(tid, job_deadline);
-                    if P::ENABLED {
-                        self.probe.release(self.now);
-                    }
+                    thread.deadline = periodic.take();
+                    ThreadStatus::Ready(Completion::PeriodStarted)
                 } else {
-                    let release = periodic.next;
-                    self.threads[tid].status = ThreadStatus::BlockedForPeriod;
-                    self.unmark_runnable(tid);
-                    self.push_calendar(release, CalendarKind::PeriodRelease(tid));
+                    ThreadStatus::BlockedForPeriod
                 }
             }
-            Action::WaitUntil(t) => {
-                if t <= self.now {
-                    self.threads[tid].status = ThreadStatus::Ready(Completion::TimeReached);
-                } else {
-                    self.threads[tid].status = ThreadStatus::BlockedUntil(t);
-                    self.unmark_runnable(tid);
-                    self.push_calendar(t, CalendarKind::ThreadWake(tid));
-                }
-            }
+            Action::WaitUntil(t) if t <= now => ThreadStatus::Ready(Completion::TimeReached),
+            Action::WaitUntil(t) => ThreadStatus::BlockedUntil(t),
             Action::WaitForEvent(event) => {
-                if self.events[event.0].pending > 0 {
-                    self.events[event.0].pending -= 1;
-                    self.threads[tid].status = ThreadStatus::Ready(Completion::EventFired);
+                let event = &mut self.events[event.0];
+                if event.pending > 0 {
+                    event.pending -= 1;
+                    ThreadStatus::Ready(Completion::EventFired)
                 } else {
-                    self.events[event.0].waiters.push(tid);
-                    self.threads[tid].status = ThreadStatus::BlockedOnEvent;
-                    self.unmark_runnable(tid);
+                    event.waiters.push(tid);
+                    ThreadStatus::BlockedOnEvent
                 }
             }
-            Action::Terminate => {
-                self.threads[tid].status = ThreadStatus::Terminated;
-                self.unmark_runnable(tid);
-            }
-        }
+            Action::Terminate => ThreadStatus::Terminated,
+        };
 
         // Fires requested by the body are processed after its state is
         // settled, so a body can fire the event it is about to wait on.
-        for event in fires {
+        for event in ctx.take_fire_requests() {
             self.fire_event_now(event);
         }
-        // Runtime-armed timers: a future instant rides the event calendar
-        // like any pre-run timer (preserving the batching invariant that
-        // mid-run insertions are strictly in the future); a past or present
-        // instant fires immediately, charging the same timer overhead a
-        // calendar fire would.
-        for (at, event) in timers {
+        // Runtime-armed timers: a future instant becomes one more one-shot
+        // timer; a past or present instant fires immediately, charging the
+        // same timer overhead a timer fire would.
+        for (at, event) in ctx.take_timer_requests() {
             if at <= self.now {
                 self.pending_timer_overhead += self.config.overhead.timer_fire;
                 self.fire_event_now(event);
@@ -1195,54 +657,50 @@ impl<P: Probe> Engine<P> {
 
     /// The next instant at which the set of runnable threads could change
     /// while some thread is computing: the next timer fire, the next timed
-    /// wake-up, the next periodic release, or the horizon.
-    ///
-    /// Indexed: an O(1) peek of the calendar (memoised between decisions, so
-    /// consecutive compute slices do not even pay the stale-entry sweep).
-    /// Linear scan: an O(t + m) sweep over every thread and timer.
-    fn next_preemption_time(&mut self) -> Instant {
-        let next = match self.config.scheduler {
-            SchedulerKind::Indexed => match self.next_event_cache {
-                Some(cached) => cached,
-                None => {
-                    let found = loop {
-                        match self.calendar.peek() {
-                            None => break Instant::MAX,
-                            Some(&Reverse(entry)) => {
-                                if self.calendar_entry_is_live(&entry) {
-                                    break entry.time;
-                                }
-                                self.calendar.pop();
-                            }
-                        }
-                    };
-                    self.next_event_cache = Some(found);
-                    found
-                }
-            },
-            SchedulerKind::LinearScan => {
-                let mut next = Instant::MAX;
-                for timer in &self.timers {
-                    if timer.enabled && timer.next < self.config.horizon {
-                        next = next.min(timer.next);
-                    }
-                }
-                for thread in &self.threads {
-                    match thread.status {
-                        ThreadStatus::BlockedUntil(t) => next = next.min(t),
-                        ThreadStatus::BlockedForPeriod => {
-                            if let Some(p) = &thread.periodic {
-                                next = next.min(p.next);
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                next
+    /// wake-up, the next periodic release, or the horizon. An O(t + m)
+    /// sweep.
+    fn next_preemption_time(&self) -> Instant {
+        let mut next = Instant::MAX;
+        for timer in &self.timers {
+            if timer.enabled && timer.next < self.config.horizon {
+                next = next.min(timer.next);
             }
-        };
+        }
+        for thread in &self.threads {
+            match thread.status {
+                ThreadStatus::BlockedUntil(t) => next = next.min(t),
+                ThreadStatus::BlockedForPeriod => {
+                    if let Some(p) = &thread.periodic {
+                        next = next.min(p.next);
+                    }
+                }
+                _ => {}
+            }
+        }
         next.min(self.config.horizon)
             .max(self.now + Span::from_ticks(1))
+    }
+}
+
+/// The status a thread enters when its body asks to compute `amount` on
+/// `unit`, optionally under a `Timed` budget: a zero amount completes at
+/// once, a zero budget interrupts at once.
+fn compute(amount: Span, budget: Option<Span>, unit: ExecUnit) -> ThreadStatus {
+    if amount.is_zero() {
+        ThreadStatus::Ready(Completion::Computed {
+            consumed: Span::ZERO,
+        })
+    } else if budget == Some(Span::ZERO) {
+        ThreadStatus::Ready(Completion::Interrupted {
+            consumed: Span::ZERO,
+        })
+    } else {
+        ThreadStatus::Computing(ComputeState {
+            remaining: amount,
+            budget,
+            unit,
+            consumed: Span::ZERO,
+        })
     }
 }
 
@@ -1665,40 +1123,34 @@ mod tests {
     fn edf_dispatches_by_deadline_not_priority() {
         // Under EDF the *lower-priority* thread with the shorter period (and
         // therefore the earlier absolute deadline) runs first.
-        for scheduler in [SchedulerKind::Indexed, SchedulerKind::LinearScan] {
-            let mut engine = Engine::new(
-                config(20)
-                    .with_policy(rt_model::SchedulingPolicy::Edf)
-                    .with_scheduler(scheduler),
-            );
-            engine.spawn_periodic(
-                "high-prio-long-deadline",
-                Priority::new(50),
-                Instant::ZERO,
-                Span::from_units(20),
-                Box::new(PeriodicWorker {
-                    cost: Span::from_units(4),
-                    unit: task_unit(0),
-                }),
-            );
-            engine.spawn_periodic(
-                "low-prio-short-deadline",
-                Priority::new(10),
-                Instant::ZERO,
-                Span::from_units(5),
-                Box::new(PeriodicWorker {
-                    cost: Span::from_units(1),
-                    unit: task_unit(1),
-                }),
-            );
-            let trace = engine.run();
-            let first = trace.segments.first().unwrap();
-            assert_eq!(
-                first.unit,
-                task_unit(1),
-                "{scheduler:?}: deadline 5 must beat deadline 20 regardless of priority"
-            );
-        }
+        let mut engine = Engine::new(config(20).with_policy(rt_model::SchedulingPolicy::Edf));
+        engine.spawn_periodic(
+            "high-prio-long-deadline",
+            Priority::new(50),
+            Instant::ZERO,
+            Span::from_units(20),
+            Box::new(PeriodicWorker {
+                cost: Span::from_units(4),
+                unit: task_unit(0),
+            }),
+        );
+        engine.spawn_periodic(
+            "low-prio-short-deadline",
+            Priority::new(10),
+            Instant::ZERO,
+            Span::from_units(5),
+            Box::new(PeriodicWorker {
+                cost: Span::from_units(1),
+                unit: task_unit(1),
+            }),
+        );
+        let trace = engine.run();
+        let first = trace.segments.first().unwrap();
+        assert_eq!(
+            first.unit,
+            task_unit(1),
+            "deadline 5 must beat deadline 20 regardless of priority"
+        );
     }
 
     #[test]
@@ -1729,67 +1181,32 @@ mod tests {
     fn edf_mid_run_release_preempts_a_later_deadline() {
         // A long job (deadline 30) is preempted at t=4 by a release whose
         // deadline (4+6=10) is earlier.
-        for scheduler in [SchedulerKind::Indexed, SchedulerKind::LinearScan] {
-            let mut engine = Engine::new(
-                config(30)
-                    .with_policy(rt_model::SchedulingPolicy::Edf)
-                    .with_scheduler(scheduler),
-            );
-            engine.spawn_periodic(
-                "long",
-                Priority::new(50),
-                Instant::ZERO,
-                Span::from_units(30),
-                Box::new(PeriodicWorker {
-                    cost: Span::from_units(10),
-                    unit: task_unit(0),
-                }),
-            );
-            engine.spawn_periodic(
-                "urgent",
-                Priority::new(1),
-                Instant::from_units(4),
-                Span::from_units(6),
-                Box::new(PeriodicWorker {
-                    cost: Span::from_units(2),
-                    unit: task_unit(1),
-                }),
-            );
-            let trace = engine.run();
-            let urgent: Vec<_> = trace.segments_of(task_unit(1)).collect();
-            assert_eq!(
-                (urgent[0].start, urgent[0].end),
-                (Instant::from_units(4), Instant::from_units(6)),
-                "{scheduler:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn edf_indexed_and_linear_scan_traces_agree() {
-        let build = |scheduler: SchedulerKind| {
-            let mut engine = Engine::new(
-                config(60)
-                    .with_policy(rt_model::SchedulingPolicy::Edf)
-                    .with_scheduler(scheduler),
-            );
-            for (i, (cost, period)) in [(2u64, 7u64), (1, 5), (3, 13), (1, 9)].iter().enumerate() {
-                engine.spawn_periodic(
-                    format!("w{i}"),
-                    Priority::new(10 + i as u8),
-                    Instant::ZERO,
-                    Span::from_units(*period),
-                    Box::new(PeriodicWorker {
-                        cost: Span::from_units(*cost),
-                        unit: task_unit(i as u32),
-                    }),
-                );
-            }
-            engine.run()
-        };
+        let mut engine = Engine::new(config(30).with_policy(rt_model::SchedulingPolicy::Edf));
+        engine.spawn_periodic(
+            "long",
+            Priority::new(50),
+            Instant::ZERO,
+            Span::from_units(30),
+            Box::new(PeriodicWorker {
+                cost: Span::from_units(10),
+                unit: task_unit(0),
+            }),
+        );
+        engine.spawn_periodic(
+            "urgent",
+            Priority::new(1),
+            Instant::from_units(4),
+            Span::from_units(6),
+            Box::new(PeriodicWorker {
+                cost: Span::from_units(2),
+                unit: task_unit(1),
+            }),
+        );
+        let trace = engine.run();
+        let urgent: Vec<_> = trace.segments_of(task_unit(1)).collect();
         assert_eq!(
-            build(SchedulerKind::Indexed),
-            build(SchedulerKind::LinearScan)
+            (urgent[0].start, urgent[0].end),
+            (Instant::from_units(4), Instant::from_units(6))
         );
     }
 

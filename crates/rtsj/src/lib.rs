@@ -12,8 +12,8 @@
 //!   which schedulable objects describe their behaviour to the engine,
 //!   covering `waitForNextPeriod`, event waits and `Timed.doInterruptible`;
 //! * [`engine`] — a deterministic virtual-time, preemptive fixed-priority
-//!   execution engine with asynchronous events, timers running above every
-//!   application priority, and `Timed` budget enforcement;
+//!   (or EDF) execution engine with asynchronous events, timers running
+//!   above every application priority, and `Timed` budget enforcement;
 //! * [`overhead`] — the explicit runtime-cost model that recreates the
 //!   execution-vs-simulation gap measured by the paper;
 //! * [`handlers`] — ready-made bodies for periodic real-time threads and
@@ -23,20 +23,15 @@
 //! The task-server framework itself (the paper's contribution) lives in the
 //! `rt-taskserver` crate and is built entirely on this API.
 //!
-//! ## Per-decision cost model
+//! ## The reference oracle
 //!
-//! The engine advances decision by decision in integer virtual time: each
-//! decision is O(log n) — calendar pops and ready-heap updates, amortised
-//! O(1) peeks via the memoised next-preemption instant — and allocates
-//! nothing in the steady state (scratch buffers for timer fires, event
-//! cascades and waiter lists are reused across decisions). Everything per
-//! release is `Copy` or reused: handler identities are interned
-//! [`rt_model::NameId`]s, not `String`s, part of the compile layer's
-//! zero-allocations-per-decision discipline (pinned by `rt-bench`'s
-//! `zero_alloc` test). The compiled execution fast path in
-//! `rt-taskserver::fastpath` bypasses this engine's generic heaps with
-//! precomputed rank/ceiling tables while reproducing its traces
-//! byte-identically.
+//! The engine advances decision by decision in integer virtual time and is
+//! deliberately naive: every decision rescans every timer and every thread,
+//! O(t + m), with no cached state that could go stale. It is the execution
+//! world's reference oracle: `rt-taskserver`'s table-driven driver
+//! (`fastpath`) is the one fast decision loop, and the differential tests,
+//! the fuzzer and the goldens pin it to this engine through
+//! `rt_taskserver::execute_reference`.
 //!
 //! ```
 //! use rt_model::{ExecUnit, Instant, Priority, Span, TaskId};
@@ -73,9 +68,7 @@ pub mod params;
 pub mod wallclock;
 
 pub use body::{Action, BodyCtx, Completion, ThreadBody};
-pub use engine::{
-    Engine, EngineConfig, EventHandle, FireCtx, FireHook, SchedulerKind, ThreadHandle,
-};
+pub use engine::{Engine, EngineConfig, EventHandle, FireCtx, FireHook, ThreadHandle};
 pub use handlers::{BoundHandlerBody, HandlerRun, PeriodicThreadBody};
 pub use overhead::OverheadModel;
 pub use params::{

@@ -14,7 +14,7 @@
 //! behaviour: [`ProcessingGroupParameters`] is carried around but never
 //! enforced by the engine, and a test documents exactly that.
 
-use rt_model::{Instant, Priority, Span};
+use rt_model::{Instant, Priority, ServerPolicyKind, ServerSpec, Span};
 use serde::{Deserialize, Serialize};
 
 /// Scheduling eligibility expressed as a fixed priority
@@ -129,6 +129,19 @@ impl TaskServerParameters {
             capacity,
             period,
             priority,
+        }
+    }
+
+    /// The parameters a [`ServerSpec`] installs with. Background servicing
+    /// has no meaningful capacity or period: it carries a nominal `(1, 1)`
+    /// pair so the pending queue has a packing reference (it is never used
+    /// to reject work).
+    pub fn of_spec(spec: &ServerSpec) -> Self {
+        match spec.policy {
+            ServerPolicyKind::Background => {
+                Self::new(Span::from_units(1), Span::from_units(1), spec.priority)
+            }
+            _ => Self::new(spec.capacity, spec.period, spec.priority),
         }
     }
 

@@ -49,7 +49,7 @@ pub use dynamic::{simulate_dynamic, DynamicPolicy};
 pub use engine::{simulate, simulate_with_policy, simulate_with_probe};
 pub use gantt::{render_ascii, render_svg, GanttOptions};
 pub use reference::simulate_reference;
-pub use tables::{ReleaseGroup, SimTables, TaskTable};
+pub use tables::SimTables;
 
 #[cfg(test)]
 mod proptests {

@@ -17,7 +17,7 @@ use std::borrow::Cow;
 /// One periodic task, frozen: exactly the fields the decision loop touches,
 /// laid out flat (the name and spec bookkeeping stay behind in the spec).
 #[derive(Debug, Clone)]
-pub struct TaskTable {
+pub(crate) struct TaskTable {
     /// The task's identifier.
     pub id: TaskId,
     /// Worst-case cost of one job.
@@ -34,7 +34,7 @@ pub struct TaskTable {
 /// ready structures are order-insensitive at one instant, so group order is
 /// unobservable in the trace.
 #[derive(Debug, Clone)]
-pub struct ReleaseGroup {
+pub(crate) struct ReleaseGroup {
     /// First release (the common task offset).
     pub first: Instant,
     /// The common period.
@@ -233,29 +233,9 @@ impl<'a> SimTables<'a> {
         self.spec.scheduling
     }
 
-    /// The frozen periodic tasks, in spec order.
-    pub fn tasks(&self) -> &[TaskTable] {
-        &self.tasks
-    }
-
-    /// The release-rate groups, in first-seen task order.
-    pub fn groups(&self) -> &[ReleaseGroup] {
-        &self.groups
-    }
-
     /// The server lanes' install-time statics, in install order.
-    pub fn lanes(&self) -> &[ServerSpec] {
+    pub(crate) fn lanes(&self) -> &[ServerSpec] {
         &self.spec.servers
-    }
-
-    /// Exact number of periodic jobs released within the horizon.
-    pub fn job_count(&self) -> usize {
-        self.job_count
-    }
-
-    /// Number of aperiodic arrivals released within the horizon.
-    pub fn arrival_count(&self) -> usize {
-        self.arrival_count
     }
 
     /// Assembles the `index`-th in-horizon arrival row from the borrowed

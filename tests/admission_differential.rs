@@ -5,7 +5,7 @@
 //! 1. **AcceptAll is invisible** — stamping the default admission policy on
 //!    a system (even one carrying deadlines and value tags) produces traces
 //!    byte-identical to the unstamped system across the whole engine matrix
-//!    (scheduler × queue × scheduling, engine and oracle), on both engines.
+//!    (queue × scheduling, driver and oracle), on both engines.
 //!    Together
 //!    with the 53 pre-admission goldens this proves the admission layer
 //!    reduces to today's behaviour when switched off.
@@ -23,9 +23,8 @@
 use rtsj_event_framework::model::{
     AdmissionPolicy, Instant, Priority, SchedulingPolicy, ServerSpec, Span, SystemSpec, Trace,
 };
-use rtsj_event_framework::rtsj::SchedulerKind;
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
-use rtsj_event_framework::taskserver::{execute, ExecutionConfig, QueueKind};
+use rtsj_event_framework::taskserver::{execute, execute_reference, ExecutionConfig, QueueKind};
 
 mod common;
 use common::traces::assert_traces_eq;
@@ -116,18 +115,20 @@ fn accept_all_reduces_byte_identically_across_the_engine_matrix() {
         for server in &mut unstamped.servers {
             server.admission = AdmissionPolicy::default();
         }
-        // Execution matrix: scheduler × queue.
-        for scheduler in [SchedulerKind::Indexed, SchedulerKind::LinearScan] {
-            for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-                let config = ExecutionConfig::reference()
-                    .with_scheduler(scheduler)
-                    .with_queue(queue);
-                assert_eq!(
-                    execute(&stamped, &config).render_canonical(),
-                    execute(&unstamped, &config).render_canonical(),
-                    "{scheduling:?}/{scheduler:?}/{queue:?}"
-                );
-            }
+        // Execution matrix: queue × (driver, oracle).
+        for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
+            let config = ExecutionConfig::reference().with_queue(queue);
+            let reference = execute(&unstamped, &config).render_canonical();
+            assert_eq!(
+                execute(&stamped, &config).render_canonical(),
+                reference,
+                "{scheduling:?}/{queue:?}"
+            );
+            assert_eq!(
+                execute_reference(&stamped, &config).render_canonical(),
+                reference,
+                "{scheduling:?}/{queue:?} (oracle)"
+            );
         }
         // Simulation: engine and oracle.
         let reference = simulate(&unstamped).render_canonical();
@@ -158,18 +159,19 @@ fn predictive_decisions_agree_across_engines_and_engine_modes() {
             );
             // Engine and oracle agree too.
             assert_traces_eq(&spec.name, &simulate_reference(&spec), &simulate(&spec));
-            for scheduler in [SchedulerKind::Indexed, SchedulerKind::LinearScan] {
-                for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-                    let config = ExecutionConfig::ideal()
-                        .with_scheduler(scheduler)
-                        .with_queue(queue);
-                    assert_eq!(
-                        execute(&spec, &config).render_canonical(),
-                        executed.render_canonical(),
-                        "{}: {scheduler:?}/{queue:?}",
-                        spec.name
-                    );
-                }
+            for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
+                let config = ExecutionConfig::ideal().with_queue(queue);
+                assert_traces_eq(
+                    &format!("{} ({queue:?})", spec.name),
+                    &execute_reference(&spec, &config),
+                    &executed,
+                );
+                assert_eq!(
+                    execute(&spec, &config).render_canonical(),
+                    executed.render_canonical(),
+                    "{}: {queue:?}",
+                    spec.name
+                );
             }
         }
     }

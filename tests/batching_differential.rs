@@ -1,10 +1,10 @@
 //! Same-instant batching differential tests.
 //!
-//! The engines serve every job due inside one decision window from a single
-//! dispatcher entry (`rtss-sim`'s driver) and drain the event calendar once
-//! per instant (`rtsj-emu`'s indexed scheduler). These tests pin the
-//! optimisation to the one-job-per-dispatch oracles — `simulate_reference`
-//! and the linear-scan emulator — on workloads built around coincident
+//! The drivers serve every job due inside one decision window from a single
+//! dispatcher entry (`rtss-sim`'s driver) and drain everything due once per
+//! due instant (the execution driver). These tests pin the optimisation to
+//! the one-job-per-dispatch oracles — `simulate_reference` and
+//! `execute_reference` — on workloads built around coincident
 //! work: bursts of ≥3 aperiodic events released at the same instant,
 //! releases colliding with server activations, and backlogged periodic
 //! tasks with several pending jobs in one window.
@@ -12,9 +12,8 @@
 use rtsj_event_framework::model::{
     Instant, Priority, ServerPolicyKind, ServerSpec, Span, SystemSpec,
 };
-use rtsj_event_framework::prelude::SchedulerKind;
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
-use rtsj_event_framework::taskserver::{execute, ExecutionConfig};
+use rtsj_event_framework::taskserver::{execute, execute_reference, ExecutionConfig};
 
 mod common;
 use common::traces::assert_traces_eq;
@@ -26,7 +25,7 @@ fn assert_batching_is_invisible(spec: &SystemSpec) {
     for config in [ExecutionConfig::reference(), ExecutionConfig::ideal()] {
         assert_traces_eq(
             &spec.name,
-            &execute(spec, &config.with_scheduler(SchedulerKind::LinearScan)),
+            &execute_reference(spec, &config),
             &execute(spec, &config),
         );
     }

@@ -4,23 +4,24 @@
 //! `simulate_reference` oracle byte for byte on every system shape: server
 //! policies × queue disciplines × admission policies × scheduling policies,
 //! single- and multi-server, plus randomly generated systems. On the
-//! execution side the compiled ceiling-table fast path must agree with
-//! `rt_taskserver::execute` across scheduler/queue configurations.
+//! execution side the compiled system's execution (the execution driver)
+//! must reproduce the naive `execute_reference` oracle across queue and
+//! scheduling configurations.
 //!
 //! These tests pin the fast paths — the monomorphized lane policies, the
 //! ready bitmap, the release-group wheel, the in-window re-pick, the SRP
-//! ceiling tables — to the oracles without relying on stored fixtures. The
-//! golden files additionally pin them to the recorded history.
+//! ceiling tables, the EDF ready heap — to the oracles without relying on
+//! stored fixtures. The golden files additionally pin them to the recorded
+//! history.
 
 use rtsj_event_framework::compile::{execute_compiled, CompiledSystem};
 use rtsj_event_framework::model::{
     AdmissionPolicy, Instant, Priority, QueueDiscipline, SchedulingPolicy, ServerPolicyKind,
     ServerSpec, Span, SystemSpec,
 };
-use rtsj_event_framework::prelude::SchedulerKind;
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
 use rtsj_event_framework::sysgen::{GeneratorParams, RandomSystemGenerator};
-use rtsj_event_framework::taskserver::{execute, ExecutionConfig, QueueKind};
+use rtsj_event_framework::taskserver::{execute, execute_reference, ExecutionConfig, QueueKind};
 
 mod common;
 use common::invariants::assert_trace_invariants;
@@ -36,18 +37,11 @@ fn assert_compiled_simulation_agrees(spec: &SystemSpec) {
     assert_trace_invariants(spec, &engine);
 }
 
-/// Asserts the compiled execution plan agrees byte-for-byte with the direct
-/// interpreted execution under one configuration.
+/// Asserts the compiled execution reproduces the oracle under one
+/// configuration.
 fn assert_compiled_execution_agrees(spec: &SystemSpec, config: ExecutionConfig) {
     let compiled = execute_compiled(spec, &config);
-    let interpreted = execute(spec, &config);
-    assert_eq!(
-        compiled.render_canonical(),
-        interpreted.render_canonical(),
-        "compiled and interpreted executions diverged on {}",
-        spec.name
-    );
-    assert_eq!(compiled, interpreted);
+    assert_traces_eq(&spec.name, &execute_reference(spec, &config), &compiled);
     assert_trace_invariants(spec, &compiled);
 }
 
@@ -153,22 +147,20 @@ fn compiled_execution_matches_across_configurations() {
         ServerPolicyKind::Background,
     ] {
         for events in SCENARIOS {
-            let spec = system(
-                policy,
-                QueueDiscipline::FifoSkip,
-                AdmissionPolicy::AcceptAll,
-                SchedulingPolicy::FixedPriority,
-                events,
-            );
-            for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-                for scheduler in [SchedulerKind::Indexed, SchedulerKind::LinearScan] {
-                    let config = ExecutionConfig::reference()
-                        .with_queue(queue)
-                        .with_scheduler(scheduler);
+            for scheduling in [SchedulingPolicy::FixedPriority, SchedulingPolicy::Edf] {
+                let spec = system(
+                    policy,
+                    QueueDiscipline::FifoSkip,
+                    AdmissionPolicy::AcceptAll,
+                    scheduling,
+                    events,
+                );
+                for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
+                    let config = ExecutionConfig::reference().with_queue(queue);
                     assert_compiled_execution_agrees(&spec, config);
                 }
+                assert_compiled_execution_agrees(&spec, ExecutionConfig::ideal());
             }
-            assert_compiled_execution_agrees(&spec, ExecutionConfig::ideal());
         }
     }
 }

@@ -6,8 +6,8 @@
 //! highest-priority one, with identical tie-breaks — the EDF trace must be
 //! byte-identical to the fixed-priority trace. The suite pins that reduction
 //! on both engines, pins EDF agreement with the oracles (the simulator's
-//! driver vs `simulate_reference`, the indexed execution engine vs its
-//! linear scan, both queue structures), and exercises the cases where EDF
+//! driver vs `simulate_reference`, the execution driver vs
+//! `execute_reference`, both queue structures), and exercises the cases where EDF
 //! *must* diverge from fixed priorities (deadline inversion, the classic
 //! U = 1 non-harmonic set).
 
@@ -15,10 +15,9 @@ use rtsj_event_framework::model::{
     Instant, Priority, QueueDiscipline, SchedulingPolicy, ServerPolicyKind, ServerSpec, Span,
     SystemSpec,
 };
-use rtsj_event_framework::prelude::SchedulerKind;
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
 use rtsj_event_framework::sysgen::{GeneratorParams, RandomSystemGenerator};
-use rtsj_event_framework::taskserver::{execute, ExecutionConfig, QueueKind};
+use rtsj_event_framework::taskserver::{execute, execute_reference, ExecutionConfig, QueueKind};
 
 mod common;
 use common::traces::assert_traces_eq;
@@ -69,7 +68,9 @@ fn reduction_system(policy: ServerPolicyKind, events: &[(u64, u64)]) -> SystemSp
 /// EDF and FP executions of the same spec, compared byte for byte.
 fn assert_execution_reduction(spec: &SystemSpec, config: &ExecutionConfig) {
     let fp = execute(spec, config).render_canonical();
-    let edf = execute(spec, &config.with_scheduling(SchedulingPolicy::Edf)).render_canonical();
+    let mut edf_spec = spec.clone();
+    edf_spec.scheduling = SchedulingPolicy::Edf;
+    let edf = execute(&edf_spec, config).render_canonical();
     assert_eq!(
         fp, edf,
         "execution: deadline-monotonic reduction failed on {}",
@@ -213,8 +214,8 @@ fn edf_systems(policy: ServerPolicyKind, seed: u64, count: usize) -> Vec<SystemS
 }
 
 /// Both engines must agree with their oracles on one EDF spec: the
-/// simulator's driver vs `simulate_reference`, and the indexed execution
-/// engine vs its linear scan on both queue structures.
+/// simulator's driver vs `simulate_reference`, and the execution driver vs
+/// `execute_reference` on both queue structures.
 fn assert_edf_modes_agree(spec: &SystemSpec) {
     assert_eq!(spec.scheduling, SchedulingPolicy::Edf);
     assert_traces_eq(&spec.name, &simulate_reference(spec), &simulate(spec));
@@ -222,7 +223,7 @@ fn assert_edf_modes_agree(spec: &SystemSpec) {
         let base = ExecutionConfig::reference().with_queue(queue);
         assert_traces_eq(
             &format!("{} ({queue:?})", spec.name),
-            &execute(spec, &base.with_scheduler(SchedulerKind::LinearScan)),
+            &execute_reference(spec, &base),
             &execute(spec, &base),
         );
     }
@@ -299,14 +300,14 @@ fn deadline_ordered_execution_reorders_service_and_modes_agree() {
         vec![0, 2, 1],
         "the urgent event must jump the queue"
     );
-    // The deadline-ordered spec agrees across all execution modes.
+    // The deadline-ordered spec: the driver agrees with the oracle.
     let spec = build(QueueDiscipline::DeadlineOrdered);
     for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
         let base = ExecutionConfig::ideal().with_queue(queue);
-        let indexed = execute(&spec, &base).render_canonical();
-        assert_eq!(
-            indexed,
-            execute(&spec, &base.with_scheduler(SchedulerKind::LinearScan)).render_canonical()
+        assert_traces_eq(
+            &format!("{} ({queue:?})", spec.name),
+            &execute_reference(&spec, &base),
+            &execute(&spec, &base),
         );
     }
 }

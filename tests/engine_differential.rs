@@ -1,49 +1,38 @@
-//! Differential determinism tests: the indexed O(log n) engines must produce
-//! traces identical to the seed's linear-scan implementations — same
+//! Differential determinism tests: each world's table-driven driver must
+//! produce traces identical to its naive linear-scan oracle — same
 //! segments, same outcomes, same periodic job records, event by event — on
-//! the paper scenarios and on randomly generated systems.
+//! the paper scenarios, on randomly generated systems and on tie-heavy
+//! inputs.
 //!
-//! The linear-scan paths (`SchedulerKind::LinearScan`, `simulate_reference`)
-//! are the pre-optimisation implementations kept verbatim, so these tests
-//! pin the optimisation to the seed behaviour without relying on stored
-//! fixtures (the golden files in `tests/goldens/` additionally pin both to
-//! the recorded history).
+//! The oracles (`execute_reference`, `simulate_reference`) rescan every
+//! schedulable at every decision, so these tests pin the drivers to the
+//! seed behaviour without relying on stored fixtures (the golden files in
+//! `tests/goldens/` additionally pin both to the recorded history).
 
 use rtsj_event_framework::model::{
-    Instant, Priority, ServerPolicyKind, ServerSpec, Span, SystemSpec,
+    Instant, Priority, SchedulingPolicy, ServerPolicyKind, ServerSpec, Span, SystemSpec,
 };
-use rtsj_event_framework::prelude::SchedulerKind;
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
 use rtsj_event_framework::sysgen::{GeneratorParams, RandomSystemGenerator};
-use rtsj_event_framework::taskserver::{execute, ExecutionConfig, QueueKind};
+use rtsj_event_framework::taskserver::{execute, execute_reference, ExecutionConfig, QueueKind};
 
 mod common;
 use common::invariants::assert_trace_invariants;
+use common::traces::assert_traces_eq;
 
-/// Asserts both engine paths agree on one system under one configuration.
+/// Asserts the execution driver reproduces the oracle on one system under
+/// one configuration.
 fn assert_execution_agrees(spec: &SystemSpec, config: ExecutionConfig) {
-    let indexed = execute(spec, &config.with_scheduler(SchedulerKind::Indexed));
-    let scanned = execute(spec, &config.with_scheduler(SchedulerKind::LinearScan));
-    assert_eq!(
-        indexed.render_canonical(),
-        scanned.render_canonical(),
-        "indexed and linear-scan executions diverged on {}",
-        spec.name
-    );
-    // PartialEq covers everything render_canonical might abstract away.
-    assert_eq!(indexed, scanned, "trace equality mismatch on {}", spec.name);
-    assert_trace_invariants(spec, &indexed);
+    let driver = execute(spec, &config);
+    assert_traces_eq(&spec.name, &execute_reference(spec, &config), &driver);
+    assert_trace_invariants(spec, &driver);
 }
 
+/// Asserts the simulator's driver reproduces its oracle on one system.
 fn assert_simulation_agrees(spec: &SystemSpec) {
-    let indexed = simulate(spec);
-    let scanned = simulate_reference(spec);
-    assert_eq!(
-        indexed, scanned,
-        "indexed and linear-scan simulations diverged on {}",
-        spec.name
-    );
-    assert_trace_invariants(spec, &indexed);
+    let driver = simulate(spec);
+    assert_traces_eq(&spec.name, &simulate_reference(spec), &driver);
+    assert_trace_invariants(spec, &driver);
 }
 
 /// The Table 1 pair with the given policy and traffic.
@@ -136,6 +125,53 @@ fn saturated_traffic_agrees_between_schedulers() {
     ] {
         let spec = table1(policy, &events);
         assert_execution_agrees(&spec, ExecutionConfig::reference());
+        assert_simulation_agrees(&spec);
+    }
+}
+
+/// Every tie the dispatchers must break by spawn order at once: two
+/// equal-priority deferrable servers, each with a backlog at t = 0, above two
+/// equal-priority, equal-period tasks released together. Under EDF the
+/// servers' deadlines (their first replenishment) and the tasks' deadlines
+/// are pairwise equal too.
+fn tie_system(scheduling: SchedulingPolicy) -> SystemSpec {
+    let mut b = SystemSpec::builder(format!("ties-{}", scheduling.label()));
+    for _ in 0..2 {
+        b.add_server(ServerSpec::deferrable(
+            Span::from_units(2),
+            Span::from_units(6),
+            Priority::new(30),
+        ));
+    }
+    for name in ["tau1", "tau2"] {
+        b.periodic(
+            name,
+            Span::from_units(1),
+            Span::from_units(6),
+            Priority::new(20),
+        );
+    }
+    for (server, release, cost) in [
+        (0, 0, 2),
+        (1, 0, 2),
+        (0, 0, 1),
+        (1, 0, 1),
+        (1, 7, 2),
+        (0, 7, 2),
+    ] {
+        b.aperiodic_for(server, Instant::from_units(release), Span::from_units(cost));
+    }
+    b.scheduling(scheduling);
+    b.horizon(Instant::from_units(36));
+    b.build().expect("tie systems are valid")
+}
+
+#[test]
+fn equal_priority_and_equal_deadline_ties_agree_between_driver_and_oracle() {
+    for scheduling in [SchedulingPolicy::FixedPriority, SchedulingPolicy::Edf] {
+        let spec = tie_system(scheduling);
+        assert_execution_agrees(&spec, ExecutionConfig::reference());
+        assert_execution_agrees(&spec, ExecutionConfig::ideal());
         assert_simulation_agrees(&spec);
     }
 }

@@ -9,9 +9,10 @@
 //! * **simulation world** — the engine (`simulate`) must reproduce the
 //!   naive oracle (`simulate_reference`) trace for trace; a divergence is
 //!   reported at its first differing record;
-//! * **execution world** — `execute` (indexed and linear-scan schedulers)
-//!   and the compiled `execute_compiled` must render identical canonical
-//!   traces per configuration.
+//! * **execution world** — the driver (`execute`, and the compiled
+//!   `execute_compiled` entry point that runs it) must reproduce the naive
+//!   oracle (`execute_reference`) trace for trace per configuration; a
+//!   divergence is reported at its first differing record.
 //!
 //! Every trace additionally passes the spec-aware invariant checker
 //! (`tests/common/invariants.rs`). The two worlds are *not* compared to
@@ -27,9 +28,8 @@
 
 use rtsj_event_framework::compile::execute_compiled;
 use rtsj_event_framework::model::SystemSpec;
-use rtsj_event_framework::prelude::SchedulerKind;
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
-use rtsj_event_framework::taskserver::{execute, ExecutionConfig};
+use rtsj_event_framework::taskserver::{execute, execute_reference, ExecutionConfig};
 
 mod common;
 use common::invariants::check_trace_invariants;
@@ -57,17 +57,15 @@ fn check_case(spec: &SystemSpec) -> Result<(), String> {
     check_trace_invariants(spec, &engine)?;
 
     for config in [ExecutionConfig::reference(), ExecutionConfig::ideal()] {
-        let indexed = execute(spec, &config.with_scheduler(SchedulerKind::Indexed));
-        let canonical = indexed.render_canonical();
-        let scanned = execute(spec, &config.with_scheduler(SchedulerKind::LinearScan));
-        if scanned.render_canonical() != canonical {
-            return Err("execution world diverged: indexed vs linear-scan".into());
-        }
-        let compiled = execute_compiled(spec, &config);
-        if compiled.render_canonical() != canonical {
-            return Err("execution world diverged: interpreted vs compiled".into());
-        }
-        check_trace_invariants(spec, &indexed)?;
+        let oracle = execute_reference(spec, &config);
+        let driver = execute(spec, &config);
+        first_divergence(&oracle, &driver).map_err(|report| {
+            format!("execution world diverged: execute_reference vs execute\n{report}")
+        })?;
+        first_divergence(&oracle, &execute_compiled(spec, &config)).map_err(|report| {
+            format!("execution world diverged: execute_reference vs execute_compiled\n{report}")
+        })?;
+        check_trace_invariants(spec, &driver)?;
     }
     Ok(())
 }

@@ -3,24 +3,23 @@
 //! The goldens under `tests/goldens/` were captured from the pre-optimisation
 //! engines (linear-scan scheduling) and pin down the *event-by-event*
 //! scheduling order of every paper scenario under every server policy and
-//! queue structure. Both schedulers are checked against them here: the
-//! retained linear-scan reference must keep matching the recorded history,
-//! and the indexed engines (binary-heap event calendar, priority-indexed
-//! ready set) must reproduce it bit for bit — the documented deterministic
-//! tie-breaks (spawn order, timer creation order) are part of the contract.
+//! queue structure. Each world's naive reference oracle (`simulate_reference`,
+//! `execute_reference`) must keep matching the recorded history, and each
+//! world's driver (`simulate`, `execute`) must reproduce it bit for bit —
+//! the documented deterministic tie-breaks (spawn order, timer creation
+//! order) are part of the contract.
 //!
 //! Regenerate with `UPDATE_GOLDENS=1 cargo test --test golden_traces` and
-//! review the diff; regeneration renders from the linear-scan reference
-//! path so fixture provenance stays with the seed implementation, and an
+//! review the diff; regeneration renders from the reference oracles so
+//! fixture provenance stays with the seed implementation, and an
 //! unreviewed golden update defeats the tests.
 
 use rtsj_event_framework::compile::{execute_compiled, CompiledSystem};
 use rtsj_event_framework::model::{
     Instant, Priority, ServerPolicyKind, ServerSpec, Span, SystemSpec, Trace,
 };
-use rtsj_event_framework::rtsj::SchedulerKind;
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
-use rtsj_event_framework::taskserver::{execute, ExecutionConfig, QueueKind};
+use rtsj_event_framework::taskserver::{execute, execute_reference, ExecutionConfig, QueueKind};
 
 /// The simulator's driver on a compiled system's frozen tables.
 fn compiled_simulation(spec: &SystemSpec) -> Trace {
@@ -87,11 +86,11 @@ fn golden_path(name: &str) -> std::path::PathBuf {
 
 /// Checks (or, with `UPDATE_GOLDENS=1`, regenerates) one golden.
 ///
-/// `reference` is the rendering of the retained pre-refactor linear-scan
-/// path and is what regeneration writes, so fixture provenance always stays
-/// with the seed implementation; `indexed` is the optimised engine's
-/// rendering and must match the same bytes.
-fn check_golden(name: &str, reference: &str, indexed: &str) {
+/// `reference` is the rendering of the naive reference oracle and is what
+/// regeneration writes, so fixture provenance always stays with the seed
+/// implementation; `engine` is the driver's rendering and must match the
+/// same bytes.
+fn check_golden(name: &str, reference: &str, engine: &str) {
     let path = golden_path(name);
     if std::env::var("UPDATE_GOLDENS").is_ok() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -101,13 +100,13 @@ fn check_golden(name: &str, reference: &str, indexed: &str) {
         .unwrap_or_else(|e| panic!("missing golden {path:?} ({e}); run with UPDATE_GOLDENS=1"));
     assert_eq!(
         expected, reference,
-        "linear-scan reference diverged from golden {name}; if the change is \
+        "reference oracle diverged from golden {name}; if the change is \
          intentional, regenerate with UPDATE_GOLDENS=1 and review the diff"
     );
     assert_eq!(
-        expected, indexed,
-        "indexed engine diverged from golden {name} (the linear-scan \
-         reference still matches, so the indexed structures changed behaviour)"
+        expected, engine,
+        "driver diverged from golden {name} (the reference oracle still \
+         matches, so the driver changed behaviour)"
     );
 }
 
@@ -123,13 +122,13 @@ fn executions_match_goldens_for_every_scenario_policy_and_queue() {
             let spec = system(scenario, policy);
             for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
                 let config = ExecutionConfig::reference().with_queue(queue);
-                let reference = execute(&spec, &config.with_scheduler(SchedulerKind::LinearScan));
-                let indexed = execute(&spec, &config.with_scheduler(SchedulerKind::Indexed));
+                let reference = execute_reference(&spec, &config);
+                let engine = execute(&spec, &config);
                 let name = format!("exec_s{scenario}_{policy:?}_{queue:?}").to_lowercase();
                 check_golden(
                     &name,
                     &reference.render_canonical(),
-                    &indexed.render_canonical(),
+                    &engine.render_canonical(),
                 );
             }
         }
@@ -147,12 +146,12 @@ fn simulations_match_goldens_for_every_scenario_and_policy() {
         ] {
             let spec = system(scenario, policy);
             let reference = simulate_reference(&spec);
-            let indexed = simulate(&spec);
+            let engine = simulate(&spec);
             let name = format!("sim_s{scenario}_{policy:?}").to_lowercase();
             check_golden(
                 &name,
                 &reference.render_canonical(),
-                &indexed.render_canonical(),
+                &engine.render_canonical(),
             );
         }
     }
@@ -216,21 +215,21 @@ fn multi_server_systems_match_goldens() {
         let spec = multi_server_system(n);
         for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
             let config = ExecutionConfig::reference().with_queue(queue);
-            let reference = execute(&spec, &config.with_scheduler(SchedulerKind::LinearScan));
-            let indexed = execute(&spec, &config.with_scheduler(SchedulerKind::Indexed));
+            let reference = execute_reference(&spec, &config);
+            let engine = execute(&spec, &config);
             let name = format!("exec_multi{n}_{queue:?}").to_lowercase();
             check_golden(
                 &name,
                 &reference.render_canonical(),
-                &indexed.render_canonical(),
+                &engine.render_canonical(),
             );
         }
         let reference = simulate_reference(&spec);
-        let indexed = simulate(&spec);
+        let engine = simulate(&spec);
         check_golden(
             &format!("sim_multi{n}"),
             &reference.render_canonical(),
-            &indexed.render_canonical(),
+            &engine.render_canonical(),
         );
     }
 }
@@ -248,8 +247,8 @@ fn edf_system(scenario: u32, policy: ServerPolicyKind) -> SystemSpec {
 
 /// EDF goldens for both engines: scenario 2 traffic (arrivals mid-period, a
 /// skip, a replenishment wait) under every server policy, pinned event by
-/// event for both schedulers. Regeneration renders the linear-scan
-/// reference, like every other golden.
+/// event for the drivers and the oracles. Regeneration renders the
+/// reference oracle, like every other golden.
 #[test]
 fn edf_traces_match_goldens_for_every_policy() {
     for policy in [
@@ -260,19 +259,19 @@ fn edf_traces_match_goldens_for_every_policy() {
     ] {
         let spec = edf_system(2, policy);
         let config = ExecutionConfig::reference();
-        let reference = execute(&spec, &config.with_scheduler(SchedulerKind::LinearScan));
-        let indexed = execute(&spec, &config.with_scheduler(SchedulerKind::Indexed));
+        let reference = execute_reference(&spec, &config);
+        let engine = execute(&spec, &config);
         check_golden(
             &format!("exec_edf_s2_{policy:?}").to_lowercase(),
             &reference.render_canonical(),
-            &indexed.render_canonical(),
+            &engine.render_canonical(),
         );
         let reference = simulate_reference(&spec);
-        let indexed = simulate(&spec);
+        let engine = simulate(&spec);
         check_golden(
             &format!("sim_edf_s2_{policy:?}").to_lowercase(),
             &reference.render_canonical(),
-            &indexed.render_canonical(),
+            &engine.render_canonical(),
         );
     }
 }
@@ -305,20 +304,20 @@ fn deadline_ordered_service_matches_goldens() {
     let spec = deadline_ordered_system();
     for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
         let config = ExecutionConfig::reference().with_queue(queue);
-        let reference = execute(&spec, &config.with_scheduler(SchedulerKind::LinearScan));
-        let indexed = execute(&spec, &config.with_scheduler(SchedulerKind::Indexed));
+        let reference = execute_reference(&spec, &config);
+        let engine = execute(&spec, &config);
         check_golden(
             &format!("exec_edd_multi2_{queue:?}").to_lowercase(),
             &reference.render_canonical(),
-            &indexed.render_canonical(),
+            &engine.render_canonical(),
         );
     }
     let reference = simulate_reference(&spec);
-    let indexed = simulate(&spec);
+    let engine = simulate(&spec);
     check_golden(
         "sim_edd_multi2",
         &reference.render_canonical(),
-        &indexed.render_canonical(),
+        &engine.render_canonical(),
     );
 }
 
@@ -414,24 +413,24 @@ fn admission_traces_match_goldens() {
                 }
             );
             let config = ExecutionConfig::reference();
-            let reference = execute(&spec, &config.with_scheduler(SchedulerKind::LinearScan));
-            let indexed = execute(&spec, &config.with_scheduler(SchedulerKind::Indexed));
+            let reference = execute_reference(&spec, &config);
+            let engine = execute(&spec, &config);
             check_golden(
                 &format!("exec_adm_{tag}"),
                 &reference.render_canonical(),
-                &indexed.render_canonical(),
+                &engine.render_canonical(),
             );
             // The workload must genuinely reject (or displace) work.
             assert!(
-                indexed.outcomes.iter().any(|o| !o.is_accepted()),
+                engine.outcomes.iter().any(|o| !o.is_accepted()),
                 "exec_adm_{tag}: nothing was rejected"
             );
             let reference = simulate_reference(&spec);
-            let indexed = simulate(&spec);
+            let engine = simulate(&spec);
             check_golden(
                 &format!("sim_adm_{tag}"),
                 &reference.render_canonical(),
-                &indexed.render_canonical(),
+                &engine.render_canonical(),
             );
         }
     }
@@ -447,32 +446,31 @@ fn multi_server_admission_traces_match_goldens() {
     ] {
         let spec = admission_multi_system(policy);
         let config = ExecutionConfig::reference();
-        let reference = execute(&spec, &config.with_scheduler(SchedulerKind::LinearScan));
-        let indexed = execute(&spec, &config.with_scheduler(SchedulerKind::Indexed));
+        let reference = execute_reference(&spec, &config);
+        let engine = execute(&spec, &config);
         check_golden(
             &format!("exec_adm_multi2_{}", policy.label()),
             &reference.render_canonical(),
-            &indexed.render_canonical(),
+            &engine.render_canonical(),
         );
         assert!(
-            indexed.outcomes.iter().any(|o| !o.is_accepted()),
+            engine.outcomes.iter().any(|o| !o.is_accepted()),
             "multi2 {policy:?}: nothing was rejected"
         );
         let reference = simulate_reference(&spec);
-        let indexed = simulate(&spec);
+        let engine = simulate(&spec);
         check_golden(
             &format!("sim_adm_multi2_{}", policy.label()),
             &reference.render_canonical(),
-            &indexed.render_canonical(),
+            &engine.render_canonical(),
         );
     }
 }
 
 /// Compiled-path goldens: the `rt-compile` specialized engines pinned to the
-/// recorded history. Regeneration renders the interpreted linear-scan
-/// reference (like every other golden, fixture provenance stays with the
-/// oracle); the compiled driver / compiled execution plan must reproduce the
-/// same bytes.
+/// recorded history. Regeneration renders the reference oracle (like every
+/// other golden, fixture provenance stays with the oracle); the compiled
+/// system's simulation and execution must reproduce the same bytes.
 #[test]
 fn compiled_traces_match_goldens() {
     for scenario in [1u32, 2, 3] {
@@ -502,7 +500,7 @@ fn compiled_traces_match_goldens() {
     ] {
         let spec = system(2, policy);
         let config = ExecutionConfig::reference();
-        let reference = execute(&spec, &config.with_scheduler(SchedulerKind::LinearScan));
+        let reference = execute_reference(&spec, &config);
         let compiled = execute_compiled(&spec, &config);
         check_golden(
             &format!("compiled_exec_s2_{policy:?}").to_lowercase(),
@@ -520,7 +518,7 @@ fn compiled_traces_match_goldens() {
         let config = ExecutionConfig::reference();
         check_golden(
             &format!("compiled_exec_multi{n}"),
-            &execute(&spec, &config.with_scheduler(SchedulerKind::LinearScan)).render_canonical(),
+            &execute_reference(&spec, &config).render_canonical(),
             &execute_compiled(&spec, &config).render_canonical(),
         );
     }
@@ -629,12 +627,12 @@ fn fault_simulations_match_goldens() {
     for (variant, policy) in fault_matrix() {
         let spec = fault_system(variant, policy);
         let reference = simulate_reference(&spec);
-        let indexed = simulate(&spec);
+        let engine = simulate(&spec);
         let name = format!("fault_sim_{variant}_{policy:?}").to_lowercase();
         check_golden(
             &name,
             &reference.render_canonical(),
-            &indexed.render_canonical(),
+            &engine.render_canonical(),
         );
         assert_eq!(
             reference.render_canonical(),
@@ -651,13 +649,13 @@ fn fault_executions_match_goldens() {
     for (variant, policy) in fault_matrix() {
         let spec = fault_system(variant, policy);
         let config = ExecutionConfig::reference();
-        let reference = execute(&spec, &config.with_scheduler(SchedulerKind::LinearScan));
-        let indexed = execute(&spec, &config.with_scheduler(SchedulerKind::Indexed));
+        let reference = execute_reference(&spec, &config);
+        let engine = execute(&spec, &config);
         let name = format!("fault_exec_{variant}_{policy:?}").to_lowercase();
         check_golden(
             &name,
             &reference.render_canonical(),
-            &indexed.render_canonical(),
+            &engine.render_canonical(),
         );
         assert_eq!(
             reference.render_canonical(),

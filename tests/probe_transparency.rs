@@ -6,9 +6,10 @@
 //! channels only. This suite pins that promise:
 //!
 //! * **transparency** — canonical traces are byte-identical with `NoopProbe`
-//!   vs a recording [`MetricsProbe`] across the scheduler × admission ×
+//!   vs a recording [`MetricsProbe`] across the scheduling × admission ×
 //!   server-policy matrix, on the simulator (through `simulate_with_probe`
-//!   and through a compiled system) and the execution world;
+//!   and through a compiled system) and the execution driver (through
+//!   `execute_with_probe`), under fixed priorities and EDF;
 //! * **entry-point agreement** — the simulator's driver reports
 //!   *identical* [`MetricsProbe`] contents (same hook sites, same call
 //!   counts, same virtual-time arguments) whether it runs on freshly frozen
@@ -21,7 +22,7 @@
 //!
 //! The execution world is transparency-checked but *not* metrics-compared to
 //! the simulation world: its substrate (non-resumable handlers, overhead
-//! phases, calendar fires) is structurally different, so its counter stream
+//! phases, event fires) is structurally different, so its counter stream
 //! is its own reference.
 
 use rtsj_event_framework::compile::CompiledSystem;
@@ -30,7 +31,6 @@ use rtsj_event_framework::model::{
     SystemSpec,
 };
 use rtsj_event_framework::observe::{chrome_trace_json, MetricsProbe, SpanProbe, UnitNames};
-use rtsj_event_framework::prelude::SchedulerKind;
 use rtsj_event_framework::simulator::{simulate, simulate_with_probe};
 use rtsj_event_framework::taskserver::{execute, execute_with_probe, ExecutionConfig};
 
@@ -126,16 +126,13 @@ fn assert_probe_transparent(spec: &SystemSpec) {
     );
 
     for config in [ExecutionConfig::reference(), ExecutionConfig::ideal()] {
-        for scheduler in [SchedulerKind::Indexed, SchedulerKind::LinearScan] {
-            let config = config.with_scheduler(scheduler);
-            let mut probe = MetricsProbe::new();
-            assert_eq!(
-                execute(spec, &config).render_canonical(),
-                execute_with_probe(spec, &config, &mut probe).render_canonical(),
-                "{}: execution engine ({scheduler:?}) changed under observation",
-                spec.name
-            );
-        }
+        let mut probe = MetricsProbe::new();
+        assert_eq!(
+            execute(spec, &config).render_canonical(),
+            execute_with_probe(spec, &config, &mut probe).render_canonical(),
+            "{}: execution driver changed under observation",
+            spec.name
+        );
     }
 }
 

@@ -1,17 +1,16 @@
 //! Differential and property tests for the server-policy layer: Sporadic
 //! Server and multi-server systems on both engines against their oracles
-//! (the simulator's driver vs `simulate_reference`, the indexed execution
-//! engine vs its linear scan), plus the N=1 reduction property — a
+//! (the simulator's driver vs `simulate_reference`, the execution driver vs
+//! `execute_reference`), plus the N=1 reduction property — a
 //! multi-server system with a single server produces exactly the
 //! single-server trace.
 
 use rtsj_event_framework::model::{
     Instant, Priority, ServerPolicyKind, ServerSpec, Span, SystemSpec,
 };
-use rtsj_event_framework::prelude::SchedulerKind;
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
 use rtsj_event_framework::sysgen::{ExtraServer, GeneratorParams, RandomSystemGenerator};
-use rtsj_event_framework::taskserver::{execute, ExecutionConfig, QueueKind};
+use rtsj_event_framework::taskserver::{execute, execute_reference, ExecutionConfig, QueueKind};
 
 mod common;
 use common::traces::assert_traces_eq;
@@ -39,15 +38,15 @@ fn multi_server_systems(
 }
 
 /// Both engines must agree with their oracles on one spec: the simulator's
-/// driver vs `simulate_reference`, and the indexed execution engine vs its
-/// linear scan on both queue structures.
+/// driver vs `simulate_reference`, and the execution driver vs
+/// `execute_reference` on both queue structures.
 fn assert_all_modes_agree(spec: &SystemSpec) {
     assert_traces_eq(&spec.name, &simulate_reference(spec), &simulate(spec));
     for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
         let base = ExecutionConfig::reference().with_queue(queue);
         assert_traces_eq(
             &format!("{} ({queue:?})", spec.name),
-            &execute(spec, &base.with_scheduler(SchedulerKind::LinearScan)),
+            &execute_reference(spec, &base),
             &execute(spec, &base),
         );
     }
