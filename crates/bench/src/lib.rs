@@ -2,12 +2,13 @@
 //!
 //! Criterion benchmarks that regenerate every table and figure of the paper
 //! (`table2_ps_simulation`, `table3_ps_execution`, `table4_ds_simulation`,
-//! `table5_ds_execution`, `figures_scenarios`, `online_rta`) plus two
-//! ablations (`ablation_queue`: flat FIFO vs list-of-lists admission cost;
-//! `ablation_engine`: simulator vs execution-engine throughput and the effect
-//! of the overhead model). Each table bench prints the reproduced AART / AIR /
-//! ASR rows next to the paper's published values once per run, then measures
-//! the cost of regenerating the table.
+//! `table5_ds_execution`, `figures_scenarios`, `online_rta`) plus one
+//! ablation (`ablation_engine`: simulator vs execution-engine throughput and
+//! the effect of the overhead model). The §7 admission-cost argument —
+//! equation (5) in O(1) against an O(backlog) recomputation — is measured by
+//! `online_rta` and by `engine_scaling -- admission`. Each table bench
+//! prints the reproduced AART / AIR / ASR rows next to the paper's published
+//! values once per run, then measures the cost of regenerating the table.
 //!
 //! The crate also hosts the **persisted bench trajectory**: the
 //! `engine_scaling` bench writes its per-decision summaries (driver vs

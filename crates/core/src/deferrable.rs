@@ -103,7 +103,6 @@ impl ThreadBody for EventDrivenServerBody {
 mod tests {
     use super::*;
     use crate::handler::{QueuedRelease, ServableHandler};
-    use crate::queue::QueueKind;
     use crate::state::ServerShared;
     use rt_model::NameId;
     use rt_model::{
@@ -129,7 +128,6 @@ mod tests {
             params,
             policy,
             OverheadModel::none(),
-            QueueKind::Fifo,
             rt_model::QueueDiscipline::FifoSkip,
         );
         let mut engine = Engine::new(

@@ -456,14 +456,12 @@ impl<'p, PR: Probe, const EDF: bool> FastDriver<'p, PR, EDF> {
                     params,
                     ServerPolicyKind::Background,
                     config.overhead,
-                    config.queue,
                     server.discipline,
                 ),
                 policy => ServerShared::with_admission(
                     params,
                     policy,
                     config.overhead,
-                    config.queue,
                     server.discipline,
                     server.admission,
                 ),

@@ -21,7 +21,6 @@
 use crate::deferrable::EventDrivenServerBody;
 use crate::handler::{QueuedRelease, ServableHandler};
 use crate::polling::PollingServerBody;
-use crate::queue::QueueKind;
 use crate::sporadic::SporadicServerBody;
 use crate::state::{ReplenishRule, ServerShared, SharedServer};
 use rt_model::{
@@ -69,7 +68,6 @@ impl PollingTaskServer {
     pub fn install(
         engine: &mut Engine,
         params: TaskServerParameters,
-        queue: QueueKind,
         discipline: QueueDiscipline,
         admission: AdmissionPolicy,
     ) -> Self {
@@ -77,7 +75,6 @@ impl PollingTaskServer {
             params,
             ServerPolicyKind::Polling,
             engine.overhead(),
-            queue,
             discipline,
             admission,
         );
@@ -132,7 +129,6 @@ impl DeferrableTaskServer {
     pub fn install(
         engine: &mut Engine,
         params: TaskServerParameters,
-        queue: QueueKind,
         discipline: QueueDiscipline,
         admission: AdmissionPolicy,
     ) -> Self {
@@ -140,7 +136,6 @@ impl DeferrableTaskServer {
             params,
             ServerPolicyKind::Deferrable,
             engine.overhead(),
-            queue,
             discipline,
             admission,
         );
@@ -212,14 +207,12 @@ impl BackgroundServer {
     pub fn install(
         engine: &mut Engine,
         params: TaskServerParameters,
-        queue: QueueKind,
         discipline: QueueDiscipline,
     ) -> Self {
         let shared = ServerShared::new(
             params,
             ServerPolicyKind::Background,
             engine.overhead(),
-            queue,
             discipline,
         );
         let wakeup = engine.create_event("wakeUp(bg)");
@@ -285,7 +278,6 @@ impl SporadicTaskServer {
     pub fn install(
         engine: &mut Engine,
         params: TaskServerParameters,
-        queue: QueueKind,
         discipline: QueueDiscipline,
         admission: AdmissionPolicy,
     ) -> Self {
@@ -293,7 +285,6 @@ impl SporadicTaskServer {
             params,
             ServerPolicyKind::Sporadic,
             engine.overhead(),
-            queue,
             discipline,
             admission,
         );
@@ -356,7 +347,7 @@ pub enum AnyTaskServer {
 impl AnyTaskServer {
     /// Installs the server described by a [`ServerSpec`] (the spec's own
     /// queue discipline applies).
-    pub fn install(engine: &mut Engine, spec: &ServerSpec, queue: QueueKind) -> Self {
+    pub fn install(engine: &mut Engine, spec: &ServerSpec) -> Self {
         let (params, discipline, admission) = (
             TaskServerParameters::of_spec(spec),
             spec.discipline,
@@ -364,17 +355,17 @@ impl AnyTaskServer {
         );
         match spec.policy {
             ServerPolicyKind::Polling => AnyTaskServer::Polling(PollingTaskServer::install(
-                engine, params, queue, discipline, admission,
+                engine, params, discipline, admission,
             )),
             ServerPolicyKind::Deferrable => AnyTaskServer::Deferrable(
-                DeferrableTaskServer::install(engine, params, queue, discipline, admission),
+                DeferrableTaskServer::install(engine, params, discipline, admission),
             ),
             ServerPolicyKind::Sporadic => AnyTaskServer::Sporadic(SporadicTaskServer::install(
-                engine, params, queue, discipline, admission,
+                engine, params, discipline, admission,
             )),
-            ServerPolicyKind::Background => AnyTaskServer::Background(BackgroundServer::install(
-                engine, params, queue, discipline,
-            )),
+            ServerPolicyKind::Background => {
+                AnyTaskServer::Background(BackgroundServer::install(engine, params, discipline))
+            }
         }
     }
 
@@ -387,10 +378,9 @@ impl AnyTaskServer {
     pub fn install_with_faults(
         engine: &mut Engine,
         spec: &ServerSpec,
-        queue: QueueKind,
         changes: Vec<ModeChange>,
     ) -> Self {
-        let server = Self::install(engine, spec, queue);
+        let server = Self::install(engine, spec);
         if !changes.is_empty() {
             if let Some(wakeup) = server.wakeup() {
                 for change in &changes {
@@ -505,7 +495,6 @@ mod tests {
         let server = PollingTaskServer::install(
             &mut engine,
             TaskServerParameters::new(Span::from_units(3), Span::from_units(6), Priority::new(30)),
-            QueueKind::Fifo,
             QueueDiscipline::FifoSkip,
             AdmissionPolicy::AcceptAll,
         );
@@ -531,7 +520,6 @@ mod tests {
         let server = DeferrableTaskServer::install(
             &mut engine,
             TaskServerParameters::new(Span::from_units(2), Span::from_units(6), Priority::new(30)),
-            QueueKind::ListOfLists,
             QueueDiscipline::FifoSkip,
             AdmissionPolicy::AcceptAll,
         );
@@ -561,14 +549,14 @@ mod tests {
             Span::from_units(6),
             Priority::new(30),
         );
-        let any = AnyTaskServer::install(&mut engine, &spec, QueueKind::Fifo);
+        let any = AnyTaskServer::install(&mut engine, &spec);
         assert!(matches!(any, AnyTaskServer::Polling(_)));
         assert_eq!(any.policy(), ServerPolicyKind::Polling);
         assert_eq!(any.params().capacity, Span::from_units(3));
 
         let mut engine = self::tests_engine_helper();
         let spec = rt_model::ServerSpec::background(Priority::new(1));
-        let any = AnyTaskServer::install(&mut engine, &spec, QueueKind::Fifo);
+        let any = AnyTaskServer::install(&mut engine, &spec);
         assert!(matches!(any, AnyTaskServer::Background(_)));
         assert!(any.wakeup().is_some());
     }

@@ -8,12 +8,13 @@
 //! policies plus a [`BackgroundServer`] baseline, and
 //! [`rtsj_emu::TaskServerParameters`] — together with:
 //!
-//! * the pending-event queues of §4/§7 ([`queue::PendingQueue`], flat FIFO or
-//!   list-of-lists);
+//! * the pending-event queue of §4 ([`queue::PendingQueue`]: FIFO-with-skip
+//!   or deadline-ordered service);
+//! * on-line admission at each release ([`state::ServerShared::released`]),
+//!   decided by the §7 equation-(5) plan of [`rt_admission::ServerAdmission`]
+//!   — the one predictor both engines share;
 //! * the policy-independent service loop with `Timed` budget enforcement and
 //!   overhead accounting ([`serve::ServiceLoop`]);
-//! * on-line response-time prediction and admission control
-//!   ([`admission`]);
 //! * a runner that executes a complete [`rt_model::SystemSpec`] in virtual
 //!   time ([`system::execute`], on the table-driven driver of [`fastpath`])
 //!   — the "execution" side of the paper's evaluation — and its naive
@@ -93,7 +94,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod deferrable;
 pub mod fastpath;
 pub mod framework;
@@ -105,9 +105,6 @@ pub mod sporadic;
 pub mod state;
 pub mod system;
 
-pub use admission::{
-    predicted_response, textbook_prediction, AdmissionController, AdmissionOracle,
-};
 pub use deferrable::EventDrivenServerBody;
 pub use framework::{
     AnyTaskServer, BackgroundServer, DeferrableTaskServer, PollingTaskServer, ServableAsyncEvent,
@@ -115,7 +112,7 @@ pub use framework::{
 };
 pub use handler::{QueuedRelease, ServableHandler};
 pub use polling::PollingServerBody;
-pub use queue::{PendingQueue, QueueKind};
+pub use queue::PendingQueue;
 pub use rtsj_emu::TaskServerParameters;
 pub use serve::{ServeStep, ServiceLoop};
 pub use sporadic::SporadicServerBody;
@@ -217,25 +214,6 @@ mod proptests {
                 &ExecutionConfig::ideal().with_overhead(OverheadModel::reference().scaled(4)),
             );
             assert!(served(&heavy) <= served(&ideal));
-        }
-    }
-
-    /// The queue structure (flat FIFO vs list of lists) does not change
-    /// the service outcomes, only the admission-time prediction cost.
-    #[test]
-    fn queue_structure_does_not_change_outcomes() {
-        let mut rng = StdRng::seed_from_u64(0xA11C_E004);
-        for _ in 0..CASES {
-            let spec = random_spec(&mut rng);
-            let fifo = execute(
-                &spec,
-                &ExecutionConfig::reference().with_queue(QueueKind::Fifo),
-            );
-            let lol = execute(
-                &spec,
-                &ExecutionConfig::reference().with_queue(QueueKind::ListOfLists),
-            );
-            assert_eq!(fifo.outcomes, lol.outcomes);
         }
     }
 

@@ -80,7 +80,6 @@ impl ThreadBody for PollingServerBody {
 mod tests {
     use super::*;
     use crate::handler::{QueuedRelease, ServableHandler};
-    use crate::queue::QueueKind;
     use crate::state::ServerShared;
     use rt_model::NameId;
     use rt_model::{
@@ -106,7 +105,6 @@ mod tests {
             params,
             ServerPolicyKind::Polling,
             overhead,
-            QueueKind::Fifo,
             rt_model::QueueDiscipline::FifoSkip,
         );
         let mut engine =
@@ -259,7 +257,6 @@ mod tests {
             params,
             ServerPolicyKind::Polling,
             OverheadModel::reference(),
-            QueueKind::Fifo,
             rt_model::QueueDiscipline::FifoSkip,
         );
         let mut engine = Engine::new(

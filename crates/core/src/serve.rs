@@ -258,7 +258,6 @@ impl ServiceLoop {
 mod tests {
     use super::*;
     use crate::handler::{QueuedRelease, ServableHandler};
-    use crate::queue::QueueKind;
     use crate::state::ServerShared;
     use rt_model::NameId;
     use rt_model::{EventId, HandlerId, Priority, ServerPolicyKind};
@@ -269,7 +268,6 @@ mod tests {
             TaskServerParameters::new(Span::from_units(4), Span::from_units(6), Priority::new(30)),
             ServerPolicyKind::Polling,
             overhead,
-            QueueKind::Fifo,
             rt_model::QueueDiscipline::FifoSkip,
         )
     }

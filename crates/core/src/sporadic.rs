@@ -82,7 +82,6 @@ impl ThreadBody for SporadicServerBody {
 mod tests {
     use crate::framework::{ServableAsyncEvent, SporadicTaskServer, TaskServer};
     use crate::handler::ServableHandler;
-    use crate::queue::QueueKind;
     use rt_model::{EventId, ExecUnit, HandlerId, Instant, NameId, Priority, Span, TaskId};
     use rtsj_emu::{Engine, EngineConfig, OverheadModel, PeriodicThreadBody, TaskServerParameters};
 
@@ -99,7 +98,6 @@ mod tests {
         let server = SporadicTaskServer::install(
             &mut engine,
             TaskServerParameters::new(Span::from_units(3), Span::from_units(6), Priority::new(30)),
-            QueueKind::Fifo,
             rt_model::QueueDiscipline::FifoSkip,
             rt_model::AdmissionPolicy::AcceptAll,
         );

@@ -10,7 +10,7 @@
 //! `servableEventReleased()` on the server object.
 
 use crate::handler::QueuedRelease;
-use crate::queue::{PendingQueue, QueueKind};
+use crate::queue::PendingQueue;
 use rt_admission::{ArrivingEvent, ServerAdmission};
 use rt_model::{
     AdmissionPolicy, AperiodicFate, AperiodicOutcome, EventId, Instant, ModeChange,
@@ -112,14 +112,12 @@ impl ServerShared {
         params: TaskServerParameters,
         policy: ServerPolicyKind,
         overhead: OverheadModel,
-        queue_kind: QueueKind,
         discipline: QueueDiscipline,
     ) -> SharedServer {
         Self::with_admission(
             params,
             policy,
             overhead,
-            queue_kind,
             discipline,
             AdmissionPolicy::AcceptAll,
         )
@@ -131,11 +129,9 @@ impl ServerShared {
         params: TaskServerParameters,
         policy: ServerPolicyKind,
         overhead: OverheadModel,
-        queue_kind: QueueKind,
         discipline: QueueDiscipline,
         admission: AdmissionPolicy,
     ) -> SharedServer {
-        let queue = PendingQueue::new(queue_kind, params.capacity, params.period, discipline);
         let machine = if policy == ServerPolicyKind::Background {
             ServerAdmission::accept_all()
         } else {
@@ -147,7 +143,7 @@ impl ServerShared {
             overhead,
             remaining: params.capacity,
             next_replenishment: Instant::ZERO + params.period,
-            queue,
+            queue: PendingQueue::new(discipline),
             outcomes: Vec::new(),
             pending_replenishments: VecDeque::new(),
             active_since: None,
@@ -239,9 +235,9 @@ impl ServerShared {
         } else if change.capacity.is_some() {
             self.remaining = self.remaining.min(self.params.capacity);
         }
-        let discipline = change.discipline.unwrap_or(self.queue.discipline());
-        self.queue
-            .set_server(self.params.capacity, self.params.period, discipline);
+        if let Some(discipline) = change.discipline {
+            self.queue.set_discipline(discipline);
+        }
         // Rebuild the admission machine under the (possibly new) configured
         // policy. The backlog already admitted is grandfathered: it stays
         // queued and the fresh machine starts with no virtual entries.
@@ -269,11 +265,6 @@ impl ServerShared {
     /// [`AperiodicFate::Aborted`]. Under the default
     /// [`AdmissionPolicy::AcceptAll`] this is exactly the pre-admission
     /// behaviour (always `true`, no extra bookkeeping).
-    ///
-    /// The equation-(5) slot predicted by the queue structure, when it
-    /// maintains one, is available afterwards through
-    /// [`PendingQueue::predicted_slot`] or
-    /// [`crate::admission::predicted_response`].
     pub fn released(&mut self, release: QueuedRelease, now: Instant) -> bool {
         // An arrival is a decision instant: reconfigure first (when
         // quiescent) so the release is admitted under the new configuration,
@@ -302,7 +293,7 @@ impl ServerShared {
         self.aborted_scratch = aborted;
         if accepted {
             self.totals.accepted += 1;
-            let _ = self.queue.push(release, now, self.remaining);
+            self.queue.push(release);
         } else {
             self.record_rejected(&release, now);
         }
@@ -580,7 +571,6 @@ mod tests {
             params(),
             policy,
             OverheadModel::none(),
-            QueueKind::Fifo,
             QueueDiscipline::FifoSkip,
         )
     }

@@ -19,7 +19,6 @@
 use crate::fastpath::SubstratePlan;
 use crate::framework::{AnyTaskServer, ServableAsyncEvent, TaskServer};
 use crate::handler::ServableHandler;
-use crate::queue::QueueKind;
 use rt_model::{
     AperiodicFate, AperiodicOutcome, ExecUnit, Instant, ModelError, NameTable, PeriodicJobRecord,
     PeriodicTask, Span, SystemSpec, Trace,
@@ -33,17 +32,13 @@ use std::borrow::Cow;
 pub struct ExecutionConfig {
     /// Runtime overhead model.
     pub overhead: OverheadModel,
-    /// Pending-queue structure used by the server.
-    pub queue: QueueKind,
 }
 
 impl ExecutionConfig {
-    /// The configuration used for the paper's tables: reference overheads and
-    /// the flat FIFO queue of the base implementation.
+    /// The configuration used for the paper's tables: reference overheads.
     pub fn reference() -> Self {
         ExecutionConfig {
             overhead: OverheadModel::reference(),
-            queue: QueueKind::Fifo,
         }
     }
 
@@ -52,14 +47,7 @@ impl ExecutionConfig {
     pub fn ideal() -> Self {
         ExecutionConfig {
             overhead: OverheadModel::none(),
-            queue: QueueKind::Fifo,
         }
-    }
-
-    /// Replaces the queue structure.
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
-        self
     }
 
     /// Replaces the overhead model.
@@ -278,12 +266,7 @@ impl<'a> ExecutionPlan<'a> {
             .enumerate()
             .map(|(index, server_spec)| {
                 let changes = spec.faults.mode_changes_for(index).cloned().collect();
-                AnyTaskServer::install_with_faults(
-                    &mut engine,
-                    server_spec,
-                    self.config.queue,
-                    changes,
-                )
+                AnyTaskServer::install_with_faults(&mut engine, server_spec, changes)
             })
             .collect();
 

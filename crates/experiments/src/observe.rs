@@ -33,16 +33,9 @@ pub fn run_system_observed<P: Probe>(system: &SystemSpec, mode: EvaluationMode, 
         EvaluationMode::Simulation | EvaluationMode::CompiledSimulation => {
             rtss_sim::simulate_with_probe(system, probe)
         }
-        EvaluationMode::Execution => {
+        EvaluationMode::Execution | EvaluationMode::CompiledExecution => {
             execute_with_probe(system, &ExecutionConfig::reference(), probe)
         }
-        // The compiled system's execution plan runs the same execution
-        // driver: same trace, same hook stream as `Execution`.
-        EvaluationMode::CompiledExecution => rt_compile::CompiledSystem::compile(system)
-            // rt-lint: allow(panic, reason = "observed runs reuse generated paper systems, which are valid by construction")
-            .expect("observed runs require a valid system specification")
-            .execution_plan(&ExecutionConfig::reference())
-            .run_with_probe(probe),
     }
 }
 
@@ -77,7 +70,7 @@ pub struct ObserveReport {
 /// bit-identical for any `workers`, including 1.
 pub fn observe_table(table: PaperTable, config: &TableConfig, workers: usize) -> ObserveReport {
     let policy = table.policy();
-    let mode = table.mode().for_config(config);
+    let mode = table.mode();
     let sets: Vec<Vec<SystemSpec>> = pool::parallel_map(&SET_ORDER, workers, |_, &set| {
         generate_set(set, policy, config)
     });
@@ -221,20 +214,6 @@ mod tests {
                 assert!(observed.probe.response.count() > 0, "{}", report.caption);
             }
         }
-    }
-
-    #[test]
-    fn compiled_observation_matches_interpreted_observation() {
-        // The compiled sim drivers mirror the interpreted hook sites, so the
-        // whole report — counters and histograms — is identical.
-        let config = quick();
-        let compiled = TableConfig {
-            compiled: true,
-            ..config
-        };
-        let interpreted = observe_table(PaperTable::Table2PsSimulation, &config, 2);
-        let specialized = observe_table(PaperTable::Table2PsSimulation, &compiled, 2);
-        assert_eq!(interpreted.sets, specialized.sets);
     }
 
     #[test]

@@ -7,18 +7,20 @@
 //! module performs that validation in the setting where the prediction is
 //! exact for the non-resumable implementation — homogeneous declared costs,
 //! so the FIFO-with-skip rule never reorders service — and reports
-//! prediction-vs-measurement for every served event.
+//! prediction-vs-measurement for every served event. Each prediction comes
+//! from the engines' own admission machine,
+//! [`rt_admission::ServerAdmission`], fed the arrivals in release order.
 
-use rt_analysis::{InstancePacker, ServerParams};
-use rt_model::{Instant, Priority, ServerSpec, Span, SystemSpec};
-use rt_taskserver::{execute, ExecutionConfig, QueueKind};
+use rt_admission::{AdmissionPolicy, ArrivingEvent, ServerAdmission};
+use rt_model::{EventId, Instant, Priority, ServerSpec, Span, SystemSpec};
+use rt_taskserver::{execute, ExecutionConfig};
 
 /// One event's predicted and measured response time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlinePrediction {
     /// Release instant of the event.
     pub release: Instant,
-    /// Equation-(5) prediction made from the list-of-lists slot.
+    /// Equation-(5) prediction made by the admission machine at arrival.
     pub predicted: Span,
     /// Response time measured on the execution (`None` if unserved).
     pub measured: Option<Span>,
@@ -61,35 +63,28 @@ pub fn online_rta_experiment(
     // rt-lint: allow(panic, reason = "the experiment builds its system from fixed, known-valid parameters")
     let spec = builder.build().expect("online-rta system is valid");
 
-    let trace = execute(
-        &spec,
-        &ExecutionConfig::ideal().with_queue(QueueKind::ListOfLists),
-    );
+    let trace = execute(&spec, &ExecutionConfig::ideal());
 
-    // Predictions: replay the admissions with an InstancePacker. Because the
-    // costs are homogeneous and the server is the highest-priority task, the
-    // slot assigned at admission time is exactly where the implementation
-    // serves the handler.
-    let params = ServerParams::new(capacity, period);
-    let mut packer: Option<InstancePacker> = None;
+    // Predictions: the equation-(5) completion the admission machine plans
+    // at each arrival. Because the costs are homogeneous and the server is
+    // the highest-priority task, the planned slot is exactly where the
+    // implementation serves the handler.
+    let mut admission =
+        ServerAdmission::with_params(AdmissionPolicy::DeadlinePredictive, capacity, period);
     let mut predictions = Vec::new();
-    for (release, outcome) in releases.iter().zip(trace.outcomes.iter()) {
-        // Re-seed the packer when the pending queue has necessarily drained
-        // before this release (every packed handler completes no later than
-        // instance_start(current) + current_load): the polling server is then
-        // idle and has forfeited its capacity, so the new event can only be
-        // served from the next activation onwards — which is exactly what a
-        // packer seeded with zero remaining capacity at the release time
-        // predicts.
-        let drained = packer.as_ref().is_none_or(|p| {
-            params.instance_start(p.current_instance()) + p.current_load() <= *release
+    for (i, (release, outcome)) in releases.iter().zip(trace.outcomes.iter()).enumerate() {
+        let verdict = admission.on_arrival(&ArrivingEvent {
+            event: EventId::new(i as u32),
+            release: *release,
+            declared_cost: cost,
+            deadline: None,
+            value: cost.ticks(),
         });
-        if drained {
-            packer = Some(InstancePacker::new(params, *release, Span::ZERO));
-        }
-        // rt-lint: allow(panic, reason = "the packer was re-seeded on the drained branch immediately above")
-        let slot = packer.as_mut().expect("packer was just seeded").push(cost);
-        let predicted = slot.response_time(params, *release);
+        // Costs fit the capacity (asserted above), so every arrival gets a
+        // prediction; a missing one could never match a measurement.
+        let predicted = verdict
+            .predicted_completion
+            .map_or(Span::MAX, |completion| completion.since(*release));
         predictions.push(OnlinePrediction {
             release: *release,
             predicted,
@@ -157,6 +152,26 @@ mod tests {
         // packer predicts both cases exactly.
         for p in &report.predictions {
             assert_eq!(p.measured, Some(p.predicted));
+        }
+        assert_eq!(report.exact_matches, 5);
+    }
+
+    #[test]
+    fn releases_at_activation_instants_see_the_full_capacity() {
+        // Released at 0, 6, 12, …: each arrival coincides with an
+        // activation, which the engines process after the arrival, so the
+        // event is served at once from the full capacity (response 2).
+        let report = online_rta_experiment(
+            5,
+            Span::from_units(2),
+            Instant::ZERO,
+            Span::from_units(6),
+            Span::from_units(4),
+            Span::from_units(6),
+        );
+        for p in &report.predictions {
+            assert_eq!(p.measured, Some(Span::from_units(2)));
+            assert_eq!(p.predicted, Span::from_units(2));
         }
         assert_eq!(report.exact_matches, 5);
     }

@@ -18,9 +18,7 @@ use rtss_sim::simulate;
 use std::fmt;
 
 /// Whether a table reports simulations (literature-exact policies, RTSS) or
-/// executions (the task-server framework on the emulated RTSJ runtime) —
-/// each available directly or through an `rt-compile` compiled system
-/// (byte-identical traces, so the reported numbers cannot change).
+/// executions (the task-server framework on the emulated RTSJ runtime).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvaluationMode {
     /// Discrete-event simulation of the textbook policy.
@@ -28,37 +26,11 @@ pub enum EvaluationMode {
     /// Execution of the framework implementation with the reference
     /// overhead model.
     Execution,
-    /// Simulation through the compiled system: the simulator has one
-    /// driver, so this runs exactly [`EvaluationMode::Simulation`]'s loop
-    /// (kept so `--compiled` switches both worlds at once).
+    /// Runs exactly [`EvaluationMode::Simulation`]: each world has one
+    /// driver, so the compiled spelling of a mode names the same run.
     CompiledSimulation,
-    /// Execution through a compiled schedulable plan.
+    /// Runs exactly [`EvaluationMode::Execution`].
     CompiledExecution,
-}
-
-impl EvaluationMode {
-    /// The compiled counterpart of this mode (idempotent on the compiled
-    /// variants).
-    pub fn compiled(self) -> EvaluationMode {
-        match self {
-            EvaluationMode::Simulation | EvaluationMode::CompiledSimulation => {
-                EvaluationMode::CompiledSimulation
-            }
-            EvaluationMode::Execution | EvaluationMode::CompiledExecution => {
-                EvaluationMode::CompiledExecution
-            }
-        }
-    }
-
-    /// Routes the mode through the compiled engines when the configuration
-    /// asks for them (`repro --compiled`).
-    pub fn for_config(self, config: &TableConfig) -> EvaluationMode {
-        if config.compiled {
-            self.compiled()
-        } else {
-            self
-        }
-    }
 }
 
 /// Identifies one of the paper's four result tables.
@@ -144,10 +116,6 @@ pub struct TableConfig {
     /// Queue-service discipline stamped on every generated server
     /// (FIFO-with-skip, the paper's rule, by default).
     pub discipline: QueueDiscipline,
-    /// Route every run through an `rt-compile` compiled system instead of
-    /// the direct entry points (`repro --compiled`). Traces are
-    /// byte-identical either way, so every reported number is unchanged.
-    pub compiled: bool,
 }
 
 impl Default for TableConfig {
@@ -157,7 +125,6 @@ impl Default for TableConfig {
             seed: 1983,
             scheduling: SchedulingPolicy::FixedPriority,
             discipline: QueueDiscipline::FifoSkip,
-            compiled: false,
         }
     }
 }
@@ -339,7 +306,7 @@ pub fn reproduce_edf_table(config: &TableConfig, workers: usize) -> EdfCompariso
             // way, so AART/ASR mostly coincide).
             let evaluate = |systems: &[SystemSpec]| -> (Vec<RunMeasures>, usize, usize) {
                 let per_run = pool::parallel_map(systems, workers, |_, spec| {
-                    let trace = run_system(spec, EvaluationMode::Execution.for_config(config));
+                    let trace = run_system(spec, EvaluationMode::Execution);
                     (
                         RunMeasures::from_trace(&trace),
                         trace.periodic_deadline_misses(),
@@ -401,18 +368,16 @@ pub fn reproduce_multi_server_table(
             .map(|p| p.label())
             .collect::<Vec<_>>()
             .join("+"),
-        match mode.for_config(config) {
-            EvaluationMode::Simulation => "simulations",
-            EvaluationMode::Execution => "executions",
-            EvaluationMode::CompiledSimulation => "compiled simulations",
-            EvaluationMode::CompiledExecution => "compiled executions",
+        match mode {
+            EvaluationMode::Simulation | EvaluationMode::CompiledSimulation => "simulations",
+            EvaluationMode::Execution | EvaluationMode::CompiledExecution => "executions",
         }
     );
     let sets = SET_ORDER
         .iter()
         .map(|&set| {
             let systems = generate_multi_server_set(set, policies, config);
-            let runs = run_systems(&systems, mode.for_config(config), workers);
+            let runs = run_systems(&systems, mode, workers);
             (set, SetAggregate::from_runs(&runs))
         })
         .collect();
@@ -423,9 +388,8 @@ pub fn reproduce_multi_server_table(
 pub fn run_system(system: &SystemSpec, mode: EvaluationMode) -> Trace {
     match mode {
         EvaluationMode::Simulation | EvaluationMode::CompiledSimulation => simulate(system),
-        EvaluationMode::Execution => execute(system, &ExecutionConfig::reference()),
-        EvaluationMode::CompiledExecution => {
-            rt_compile::execute_compiled(system, &ExecutionConfig::reference())
+        EvaluationMode::Execution | EvaluationMode::CompiledExecution => {
+            execute(system, &ExecutionConfig::reference())
         }
     }
 }
@@ -450,7 +414,7 @@ pub fn run_systems(
 /// [`reproduce_table_with_workers`] must return exactly this table.
 pub fn reproduce_table(table: PaperTable, config: &TableConfig) -> ResultTable {
     let policy = table.policy();
-    let mode = table.mode().for_config(config);
+    let mode = table.mode();
     let sets = SET_ORDER
         .iter()
         .map(|&set| {
@@ -482,7 +446,7 @@ pub fn reproduce_table_with_workers(
     workers: usize,
 ) -> ResultTable {
     let policy = table.policy();
-    let mode = table.mode().for_config(config);
+    let mode = table.mode();
     let sets: Vec<Vec<SystemSpec>> = pool::parallel_map(&SET_ORDER, workers, |_, &set| {
         generate_set(set, policy, config)
     });

@@ -77,10 +77,7 @@ pub mod prelude {
         PeriodicTask, Priority, ServerPolicyKind, ServerSpec, Span, SystemSpec, Trace,
     };
     pub use rt_sysgen::{GeneratorParams, RandomSystemGenerator};
-    pub use rt_taskserver::{
-        execute, execute_reference, AdmissionController, ExecutionConfig, QueueKind,
-        TaskServerParameters,
-    };
+    pub use rt_taskserver::{execute, execute_reference, ExecutionConfig, TaskServerParameters};
     pub use rtsj_emu::OverheadModel;
     pub use rtss_sim::{render_ascii, render_svg, simulate, simulate_reference, GanttOptions};
 }

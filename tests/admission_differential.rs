@@ -5,9 +5,8 @@
 //! 1. **AcceptAll is invisible** — stamping the default admission policy on
 //!    a system (even one carrying deadlines and value tags) produces traces
 //!    byte-identical to the unstamped system across the whole engine matrix
-//!    (queue × scheduling, driver and oracle), on both engines.
-//!    Together
-//!    with the 53 pre-admission goldens this proves the admission layer
+//!    (scheduling × driver and oracle), on both engines. Together with the
+//!    53 pre-admission goldens this proves the admission layer
 //!    reduces to today's behaviour when switched off.
 //! 2. **Cross-engine decision identity** — `DeadlinePredictive` decisions
 //!    are a pure function of the arrival history (`rt-admission`), so the
@@ -17,14 +16,21 @@
 //! 3. **The 4× burst acceptance criterion** — under a sustained 4× overload
 //!    burst, `DeadlinePredictive` admission yields **zero deadline misses
 //!    among accepted events on both engines** (fixed priorities, ideal
-//!    overheads — the regime where the §7 prediction is exact/conservative),
-//!    while `AcceptAll` thrashes on the same traffic.
+//!    overheads), while `AcceptAll` thrashes on the same traffic.
+//!
+//! Beyond these, a seeded sweep checks that the plan keeps every admitted
+//! deadline of a Deferrable lane in the execution world, and two fixed
+//! inputs pin where it does not for Polling and Sporadic lanes (see the
+//! `rt-admission` crate docs).
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rtsj_event_framework::model::{
-    AdmissionPolicy, Instant, Priority, SchedulingPolicy, ServerSpec, Span, SystemSpec, Trace,
+    AdmissionPolicy, AperiodicFate, Instant, Priority, QueueDiscipline, SchedulingPolicy,
+    ServerPolicyKind, ServerSpec, Span, SystemSpec, Trace,
 };
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
-use rtsj_event_framework::taskserver::{execute, execute_reference, ExecutionConfig, QueueKind};
+use rtsj_event_framework::taskserver::{execute, execute_reference, ExecutionConfig};
 
 mod common;
 use common::traces::assert_traces_eq;
@@ -115,21 +121,19 @@ fn accept_all_reduces_byte_identically_across_the_engine_matrix() {
         for server in &mut unstamped.servers {
             server.admission = AdmissionPolicy::default();
         }
-        // Execution matrix: queue × (driver, oracle).
-        for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-            let config = ExecutionConfig::reference().with_queue(queue);
-            let reference = execute(&unstamped, &config).render_canonical();
-            assert_eq!(
-                execute(&stamped, &config).render_canonical(),
-                reference,
-                "{scheduling:?}/{queue:?}"
-            );
-            assert_eq!(
-                execute_reference(&stamped, &config).render_canonical(),
-                reference,
-                "{scheduling:?}/{queue:?} (oracle)"
-            );
-        }
+        // Execution: driver and oracle.
+        let config = ExecutionConfig::reference();
+        let reference = execute(&unstamped, &config).render_canonical();
+        assert_eq!(
+            execute(&stamped, &config).render_canonical(),
+            reference,
+            "{scheduling:?}"
+        );
+        assert_eq!(
+            execute_reference(&stamped, &config).render_canonical(),
+            reference,
+            "{scheduling:?} (oracle)"
+        );
         // Simulation: engine and oracle.
         let reference = simulate(&unstamped).render_canonical();
         assert_eq!(simulate(&stamped).render_canonical(), reference);
@@ -159,20 +163,11 @@ fn predictive_decisions_agree_across_engines_and_engine_modes() {
             );
             // Engine and oracle agree too.
             assert_traces_eq(&spec.name, &simulate_reference(&spec), &simulate(&spec));
-            for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-                let config = ExecutionConfig::ideal().with_queue(queue);
-                assert_traces_eq(
-                    &format!("{} ({queue:?})", spec.name),
-                    &execute_reference(&spec, &config),
-                    &executed,
-                );
-                assert_eq!(
-                    execute(&spec, &config).render_canonical(),
-                    executed.render_canonical(),
-                    "{}: {queue:?}",
-                    spec.name
-                );
-            }
+            assert_traces_eq(
+                &spec.name,
+                &execute_reference(&spec, &ExecutionConfig::ideal()),
+                &executed,
+            );
         }
     }
 }
@@ -347,4 +342,166 @@ fn an_overrun_abort_releases_its_equation5_slot() {
             .filter(|o| o.event != e0)
             .all(|o| o.completed_by_deadline()));
     }
+}
+
+/// A random single-lane system for the execution-world admission check:
+/// one top-priority server of the given policy with `DeadlinePredictive`
+/// admission and FIFO-with-skip service, two periodic tasks below it under
+/// fixed priorities, and twelve deadline-tagged events whose costs fit the
+/// capacity.
+fn random_admission_system(policy: ServerPolicyKind, rng: &mut StdRng) -> SystemSpec {
+    let capacity = rng.gen_range(1u64..=4);
+    let period = rng.gen_range(capacity + 1..=capacity + 6);
+    let mut b = SystemSpec::builder(format!("admit-{policy:?}"));
+    b.server(
+        ServerSpec {
+            policy,
+            capacity: Span::from_units(capacity),
+            period: Span::from_units(period),
+            priority: Priority::new(30),
+            discipline: QueueDiscipline::FifoSkip,
+            admission: AdmissionPolicy::default(),
+        }
+        .with_admission(AdmissionPolicy::DeadlinePredictive),
+    );
+    b.periodic(
+        "tau0",
+        Span::from_units(rng.gen_range(1u64..=2)),
+        Span::from_units(rng.gen_range(6u64..=12)),
+        Priority::new(20),
+    );
+    b.periodic(
+        "tau1",
+        Span::from_units(1),
+        Span::from_units(rng.gen_range(8u64..=15)),
+        Priority::new(19),
+    );
+    let mut releases: Vec<u64> = (0..12).map(|_| rng.gen_range(0u64..=60)).collect();
+    releases.sort_unstable();
+    for release in releases {
+        let cost = rng.gen_range(1u64..=capacity);
+        b.aperiodic(Instant::from_units(release), Span::from_units(cost));
+        b.last_aperiodic_mut()
+            .expect("event just added")
+            .relative_deadline = Some(Span::from_units(rng.gen_range(cost..=cost + 18)));
+    }
+    b.scheduling(SchedulingPolicy::FixedPriority);
+    b.horizon(Instant::from_units(96));
+    b.build().expect("random admission systems are valid")
+}
+
+/// The equation-(5) plan is the only arrival-time predictor, and on a
+/// top-priority Deferrable lane with ideal overheads it is a guarantee for
+/// the execution world: every event it admits is served by its deadline.
+#[test]
+fn predictive_admission_keeps_every_admitted_deadline_on_deferrable_executions() {
+    let mut rng = StdRng::seed_from_u64(0xAD31_5510);
+    let mut admitted = 0;
+    for seed in 0..500 {
+        let spec = random_admission_system(ServerPolicyKind::Deferrable, &mut rng);
+        let executed = execute(&spec, &ExecutionConfig::ideal());
+        assert_eq!(
+            accepted_misses(&executed),
+            0,
+            "seed {seed}: an admitted event missed its deadline in {:#?}",
+            spec.aperiodics
+        );
+        admitted += executed.outcomes.iter().filter(|o| o.is_accepted()).count();
+    }
+    assert!(admitted > 1000, "only {admitted} events admitted");
+}
+
+/// The plan is no guarantee for a Polling lane either: an event arriving
+/// at the very instant the plan's backlog virtually completes is planned
+/// into the next instance, but the execution's server, still active in its
+/// instance, serves it at once. The plan then books later arrivals behind
+/// work that is already done, into an instance the execution forfeits.
+/// Event 2 (released at 21, cost 1, deadline 24) is admitted against a
+/// planned completion of 23; the execution completes it at 25.
+#[test]
+fn polling_execution_can_finish_an_admitted_event_late() {
+    let mut b = SystemSpec::builder("admit-polling-late");
+    b.server(
+        ServerSpec::polling(Span::from_units(3), Span::from_units(4), Priority::new(30))
+            .with_admission(AdmissionPolicy::DeadlinePredictive),
+    );
+    for (release, cost, deadline) in [(14u64, 1u64, 15u64), (17, 2, 5), (21, 1, 3)] {
+        b.aperiodic(Instant::from_units(release), Span::from_units(cost));
+        b.last_aperiodic_mut()
+            .expect("event just added")
+            .relative_deadline = Some(Span::from_units(deadline));
+    }
+    b.horizon(Instant::from_units(40));
+    let spec = b.build().expect("pinned polling system is valid");
+    let fates: Vec<AperiodicFate> = execute(&spec, &ExecutionConfig::ideal())
+        .outcomes
+        .iter()
+        .map(|o| o.fate)
+        .collect();
+    let served = |started, completed| AperiodicFate::Served {
+        started: Instant::from_units(started),
+        completed: Instant::from_units(completed),
+    };
+    assert_eq!(fates, vec![served(16, 17), served(17, 19), served(24, 25)]);
+}
+
+/// The plan is no guarantee for a Sporadic lane: its replenishments follow
+/// the consumption chunks, not the plan's aligned instance grid, so an
+/// execution can finish an admitted event late. Pinned on one input: event
+/// 4 (released at 24, cost 3, deadline 40) is admitted, the execution
+/// completes it at 41 and the simulator's textbook sporadic server at 36.
+#[test]
+fn sporadic_execution_can_finish_an_admitted_event_late() {
+    let mut b = SystemSpec::builder("admit-sporadic-late");
+    b.server(
+        ServerSpec::sporadic(Span::from_units(3), Span::from_units(5), Priority::new(30))
+            .with_admission(AdmissionPolicy::DeadlinePredictive),
+    );
+    b.periodic(
+        "tau0",
+        Span::from_units(2),
+        Span::from_units(7),
+        Priority::new(20),
+    );
+    b.periodic(
+        "tau1",
+        Span::from_units(1),
+        Span::from_units(10),
+        Priority::new(19),
+    );
+    for (release, cost, deadline) in [
+        (10u64, 3u64, 3u64),
+        (20, 3, 8),
+        (20, 2, 8),
+        (23, 2, 14),
+        (24, 3, 16),
+        (29, 1, 9),
+        (33, 1, 12),
+        (34, 3, 10),
+        (37, 3, 19),
+        (48, 3, 6),
+        (56, 1, 9),
+        (58, 2, 16),
+    ] {
+        b.aperiodic(Instant::from_units(release), Span::from_units(cost));
+        b.last_aperiodic_mut()
+            .expect("event just added")
+            .relative_deadline = Some(Span::from_units(deadline));
+    }
+    b.horizon(Instant::from_units(96));
+    let spec = b.build().expect("pinned sporadic system is valid");
+    let completion = |trace: &Trace| {
+        let event = &trace.outcomes[4];
+        assert_eq!(event.deadline, Some(Instant::from_units(40)));
+        assert!(event.is_accepted(), "event 4 is admitted");
+        match event.fate {
+            AperiodicFate::Served { completed, .. } => completed,
+            fate => panic!("event 4 must be served, got {fate:?}"),
+        }
+    };
+    assert_eq!(
+        completion(&execute(&spec, &ExecutionConfig::ideal())),
+        Instant::from_units(41)
+    );
+    assert_eq!(completion(&simulate(&spec)), Instant::from_units(36));
 }

@@ -5,7 +5,7 @@
 //! policies × queue disciplines × admission policies × scheduling policies,
 //! single- and multi-server, plus randomly generated systems. On the
 //! execution side the compiled system's execution (the execution driver)
-//! must reproduce the naive `execute_reference` oracle across queue and
+//! must reproduce the naive `execute_reference` oracle across overhead and
 //! scheduling configurations.
 //!
 //! These tests pin the fast paths — the monomorphized lane policies, the
@@ -21,7 +21,7 @@ use rtsj_event_framework::model::{
 };
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
 use rtsj_event_framework::sysgen::{GeneratorParams, RandomSystemGenerator};
-use rtsj_event_framework::taskserver::{execute, execute_reference, ExecutionConfig, QueueKind};
+use rtsj_event_framework::taskserver::{execute, execute_reference, ExecutionConfig};
 
 mod common;
 use common::invariants::assert_trace_invariants;
@@ -155,10 +155,7 @@ fn compiled_execution_matches_across_configurations() {
                     scheduling,
                     events,
                 );
-                for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-                    let config = ExecutionConfig::reference().with_queue(queue);
-                    assert_compiled_execution_agrees(&spec, config);
-                }
+                assert_compiled_execution_agrees(&spec, ExecutionConfig::reference());
                 assert_compiled_execution_agrees(&spec, ExecutionConfig::ideal());
             }
         }

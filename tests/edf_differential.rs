@@ -7,8 +7,7 @@
 //! byte-identical to the fixed-priority trace. The suite pins that reduction
 //! on both engines, pins EDF agreement with the oracles (the simulator's
 //! driver vs `simulate_reference`, the execution driver vs
-//! `execute_reference`, both queue structures), and exercises the cases where EDF
-//! *must* diverge from fixed priorities (deadline inversion, the classic
+//! `execute_reference`), and exercises the cases where EDF *must* diverge from fixed priorities (deadline inversion, the classic
 //! U = 1 non-harmonic set).
 
 use rtsj_event_framework::model::{
@@ -17,7 +16,7 @@ use rtsj_event_framework::model::{
 };
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
 use rtsj_event_framework::sysgen::{GeneratorParams, RandomSystemGenerator};
-use rtsj_event_framework::taskserver::{execute, execute_reference, ExecutionConfig, QueueKind};
+use rtsj_event_framework::taskserver::{execute, execute_reference, ExecutionConfig};
 
 mod common;
 use common::traces::assert_traces_eq;
@@ -95,10 +94,6 @@ fn deadline_monotonic_reduction_holds_on_executions() {
         );
         assert_execution_reduction(&spec, &ExecutionConfig::ideal());
         assert_execution_reduction(&spec, &ExecutionConfig::reference());
-        assert_execution_reduction(
-            &spec,
-            &ExecutionConfig::reference().with_queue(QueueKind::ListOfLists),
-        );
     }
 }
 
@@ -215,18 +210,16 @@ fn edf_systems(policy: ServerPolicyKind, seed: u64, count: usize) -> Vec<SystemS
 
 /// Both engines must agree with their oracles on one EDF spec: the
 /// simulator's driver vs `simulate_reference`, and the execution driver vs
-/// `execute_reference` on both queue structures.
+/// `execute_reference`.
 fn assert_edf_modes_agree(spec: &SystemSpec) {
     assert_eq!(spec.scheduling, SchedulingPolicy::Edf);
     assert_traces_eq(&spec.name, &simulate_reference(spec), &simulate(spec));
-    for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-        let base = ExecutionConfig::reference().with_queue(queue);
-        assert_traces_eq(
-            &format!("{} ({queue:?})", spec.name),
-            &execute_reference(spec, &base),
-            &execute(spec, &base),
-        );
-    }
+    let base = ExecutionConfig::reference();
+    assert_traces_eq(
+        &spec.name,
+        &execute_reference(spec, &base),
+        &execute(spec, &base),
+    );
 }
 
 #[test]
@@ -302,14 +295,12 @@ fn deadline_ordered_execution_reorders_service_and_modes_agree() {
     );
     // The deadline-ordered spec: the driver agrees with the oracle.
     let spec = build(QueueDiscipline::DeadlineOrdered);
-    for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-        let base = ExecutionConfig::ideal().with_queue(queue);
-        assert_traces_eq(
-            &format!("{} ({queue:?})", spec.name),
-            &execute_reference(&spec, &base),
-            &execute(&spec, &base),
-        );
-    }
+    let base = ExecutionConfig::ideal();
+    assert_traces_eq(
+        &spec.name,
+        &execute_reference(&spec, &base),
+        &execute(&spec, &base),
+    );
 }
 
 #[test]

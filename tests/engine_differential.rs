@@ -14,7 +14,7 @@ use rtsj_event_framework::model::{
 };
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
 use rtsj_event_framework::sysgen::{GeneratorParams, RandomSystemGenerator};
-use rtsj_event_framework::taskserver::{execute, execute_reference, ExecutionConfig, QueueKind};
+use rtsj_event_framework::taskserver::{execute, execute_reference, ExecutionConfig};
 
 mod common;
 use common::invariants::assert_trace_invariants;
@@ -86,10 +86,8 @@ fn paper_scenarios_agree_between_schedulers() {
     ] {
         for events in scenarios {
             let spec = table1(policy, events);
-            for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-                assert_execution_agrees(&spec, ExecutionConfig::reference().with_queue(queue));
-                assert_execution_agrees(&spec, ExecutionConfig::ideal().with_queue(queue));
-            }
+            assert_execution_agrees(&spec, ExecutionConfig::reference());
+            assert_execution_agrees(&spec, ExecutionConfig::ideal());
             assert_simulation_agrees(&spec);
         }
     }

@@ -2,8 +2,8 @@
 //!
 //! The goldens under `tests/goldens/` were captured from the pre-optimisation
 //! engines (linear-scan scheduling) and pin down the *event-by-event*
-//! scheduling order of every paper scenario under every server policy and
-//! queue structure. Each world's naive reference oracle (`simulate_reference`,
+//! scheduling order of every paper scenario under every server policy.
+//! Each world's naive reference oracle (`simulate_reference`,
 //! `execute_reference`) must keep matching the recorded history, and each
 //! world's driver (`simulate`, `execute`) must reproduce it bit for bit —
 //! the documented deterministic tie-breaks (spawn order, timer creation
@@ -19,7 +19,7 @@ use rtsj_event_framework::model::{
     Instant, Priority, ServerPolicyKind, ServerSpec, Span, SystemSpec, Trace,
 };
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
-use rtsj_event_framework::taskserver::{execute, execute_reference, ExecutionConfig, QueueKind};
+use rtsj_event_framework::taskserver::{execute, execute_reference, ExecutionConfig};
 
 /// The simulator's driver on a compiled system's frozen tables.
 fn compiled_simulation(spec: &SystemSpec) -> Trace {
@@ -120,17 +120,15 @@ fn executions_match_goldens_for_every_scenario_policy_and_queue() {
             ServerPolicyKind::Sporadic,
         ] {
             let spec = system(scenario, policy);
-            for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-                let config = ExecutionConfig::reference().with_queue(queue);
-                let reference = execute_reference(&spec, &config);
-                let engine = execute(&spec, &config);
-                let name = format!("exec_s{scenario}_{policy:?}_{queue:?}").to_lowercase();
-                check_golden(
-                    &name,
-                    &reference.render_canonical(),
-                    &engine.render_canonical(),
-                );
-            }
+            let config = ExecutionConfig::reference();
+            let reference = execute_reference(&spec, &config);
+            let engine = execute(&spec, &config);
+            let name = format!("exec_s{scenario}_{policy:?}_fifo").to_lowercase();
+            check_golden(
+                &name,
+                &reference.render_canonical(),
+                &engine.render_canonical(),
+            );
         }
     }
 }
@@ -207,23 +205,20 @@ fn multi_server_system(n: usize) -> SystemSpec {
     b.build().expect("multi-server golden systems are valid")
 }
 
-/// Multi-server goldens: 2- and 3-server systems, executed (both queue
-/// structures) and simulated, pinned event by event for both schedulers.
+/// Multi-server goldens: 2- and 3-server systems, executed and simulated,
+/// pinned event by event for both schedulers.
 #[test]
 fn multi_server_systems_match_goldens() {
     for n in [2usize, 3] {
         let spec = multi_server_system(n);
-        for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-            let config = ExecutionConfig::reference().with_queue(queue);
-            let reference = execute_reference(&spec, &config);
-            let engine = execute(&spec, &config);
-            let name = format!("exec_multi{n}_{queue:?}").to_lowercase();
-            check_golden(
-                &name,
-                &reference.render_canonical(),
-                &engine.render_canonical(),
-            );
-        }
+        let config = ExecutionConfig::reference();
+        let reference = execute_reference(&spec, &config);
+        let engine = execute(&spec, &config);
+        check_golden(
+            &format!("exec_multi{n}_fifo"),
+            &reference.render_canonical(),
+            &engine.render_canonical(),
+        );
         let reference = simulate_reference(&spec);
         let engine = simulate(&spec);
         check_golden(
@@ -297,21 +292,18 @@ fn deadline_ordered_system() -> SystemSpec {
     spec
 }
 
-/// Deadline-ordered service goldens, executed (both queue structures) and
-/// simulated.
+/// Deadline-ordered service goldens, executed and simulated.
 #[test]
 fn deadline_ordered_service_matches_goldens() {
     let spec = deadline_ordered_system();
-    for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-        let config = ExecutionConfig::reference().with_queue(queue);
-        let reference = execute_reference(&spec, &config);
-        let engine = execute(&spec, &config);
-        check_golden(
-            &format!("exec_edd_multi2_{queue:?}").to_lowercase(),
-            &reference.render_canonical(),
-            &engine.render_canonical(),
-        );
-    }
+    let config = ExecutionConfig::reference();
+    let reference = execute_reference(&spec, &config);
+    let engine = execute(&spec, &config);
+    check_golden(
+        "exec_edd_multi2_fifo",
+        &reference.render_canonical(),
+        &engine.render_canonical(),
+    );
     let reference = simulate_reference(&spec);
     let engine = simulate(&spec);
     check_golden(
@@ -521,30 +513,6 @@ fn compiled_traces_match_goldens() {
             &execute_reference(&spec, &config).render_canonical(),
             &execute_compiled(&spec, &config).render_canonical(),
         );
-    }
-}
-
-/// The two queue structures must schedule identically (they only differ in
-/// admission-time prediction cost), so their goldens are byte-identical.
-#[test]
-fn queue_kinds_share_identical_goldens() {
-    for scenario in [1u32, 2, 3] {
-        for policy in [
-            ServerPolicyKind::Polling,
-            ServerPolicyKind::Deferrable,
-            ServerPolicyKind::Background,
-        ] {
-            let spec = system(scenario, policy);
-            let fifo = execute(
-                &spec,
-                &ExecutionConfig::reference().with_queue(QueueKind::Fifo),
-            );
-            let lol = execute(
-                &spec,
-                &ExecutionConfig::reference().with_queue(QueueKind::ListOfLists),
-            );
-            assert_eq!(fifo.render_canonical(), lol.render_canonical());
-        }
     }
 }
 

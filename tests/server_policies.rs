@@ -10,7 +10,7 @@ use rtsj_event_framework::model::{
 };
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
 use rtsj_event_framework::sysgen::{ExtraServer, GeneratorParams, RandomSystemGenerator};
-use rtsj_event_framework::taskserver::{execute, execute_reference, ExecutionConfig, QueueKind};
+use rtsj_event_framework::taskserver::{execute, execute_reference, ExecutionConfig};
 
 mod common;
 use common::traces::assert_traces_eq;
@@ -39,17 +39,15 @@ fn multi_server_systems(
 
 /// Both engines must agree with their oracles on one spec: the simulator's
 /// driver vs `simulate_reference`, and the execution driver vs
-/// `execute_reference` on both queue structures.
+/// `execute_reference`.
 fn assert_all_modes_agree(spec: &SystemSpec) {
     assert_traces_eq(&spec.name, &simulate_reference(spec), &simulate(spec));
-    for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-        let base = ExecutionConfig::reference().with_queue(queue);
-        assert_traces_eq(
-            &format!("{} ({queue:?})", spec.name),
-            &execute_reference(spec, &base),
-            &execute(spec, &base),
-        );
-    }
+    let base = ExecutionConfig::reference();
+    assert_traces_eq(
+        &spec.name,
+        &execute_reference(spec, &base),
+        &execute(spec, &base),
+    );
 }
 
 #[test]
@@ -59,7 +57,7 @@ fn sporadic_server_traces_agree_across_every_engine_mode() {
     }
 }
 
-/// The engine-vs-oracle × queue matrix, extended across the scheduling
+/// The engine-vs-oracle check, extended across the scheduling
 /// policy and queue-service discipline dimensions: every combination must
 /// produce its oracle's trace.
 #[test]
