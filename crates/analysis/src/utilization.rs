@@ -70,7 +70,7 @@ pub fn deferrable_server_test(tasks: &[PeriodicTask], server: &ServerSpec) -> bo
 }
 
 /// Sufficient schedulability test for a periodic set running below a polling
-/// server: the polling server behaves exactly like a periodic task, so the
+/// server: the polling server behaves as a periodic task, so the
 /// Liu & Layland bound applies to the set augmented with the server.
 pub fn polling_server_test(tasks: &[PeriodicTask], server: &ServerSpec) -> bool {
     debug_assert_eq!(server.policy, ServerPolicyKind::Polling);

@@ -108,7 +108,7 @@ impl<'a> CompiledSystem<'a> {
 /// `rt_taskserver::execute`).
 ///
 /// # Panics
-/// Panics when the specification fails structural validation, exactly like
+/// Panics when the specification fails structural validation, as does
 /// `rt_taskserver::execute`.
 pub fn execute_compiled(spec: &SystemSpec, config: &ExecutionConfig) -> Trace {
     CompiledSystem::compile(spec)

@@ -10,9 +10,10 @@
 //!
 //! ## What is precomputed (the `SubstratePlan`)
 //!
-//! An RTFM-style analyze pass (after Real-Time For the Masses' compile-time
-//! Stack Resource Policy ceilings) derives, once per system in
-//! [`ExecutionPlan::prepare`]:
+//! The plan's install table already lays out every thread, event and
+//! install-time timer; the driver reads it as is. On top of it, an RTFM-style
+//! analyze pass (after Real-Time For the Masses' compile-time Stack Resource
+//! Policy ceilings) derives, once per system in [`ExecutionPlan::prepare`]:
 //!
 //! * a **static dispatch order** — every schedulable ranked by
 //!   (priority desc, spawn index asc), the oracle's fixed-priority
@@ -27,11 +28,13 @@
 //!
 //! ## What stays real
 //!
-//! The server bodies are the very same [`PollingServerBody`],
-//! [`EventDrivenServerBody`] and [`SporadicServerBody`] state machines the
-//! oracle runs, pumped through the public [`BodyCtx`] protocol with the
-//! oracle's exact ordering (deadline, action, fires, timers), and the
-//! replenishment hooks are the shared [`ServerShared::on_replenish`] rules.
+//! The server bodies are the very same [`PollingServerBody`](crate::PollingServerBody),
+//! [`EventDrivenServerBody`](crate::EventDrivenServerBody) and
+//! [`SporadicServerBody`](crate::SporadicServerBody) state machines the
+//! oracle runs, built by the same lane constructor, pumped through the
+//! public [`BodyCtx`] protocol with the oracle's exact ordering (deadline,
+//! action, fires, timers), and the replenishment hooks are the shared
+//! [`ServerShared::on_replenish`](crate::ServerShared::on_replenish) rules.
 //! The driver only replaces the *scheduling substrate* around them —
 //! timer scans, ready-set sweeps, hook closures — with table-driven
 //! equivalents, which is why its traces are byte-identical to the oracle's.
@@ -64,20 +67,13 @@
 //! per-release work is O(1) amortized and allocation-free (the handler
 //! templates are `Copy`, the scratch buffers are reused).
 
-use crate::deferrable::EventDrivenServerBody;
 use crate::handler::QueuedRelease;
-use crate::polling::PollingServerBody;
-use crate::sporadic::SporadicServerBody;
-use crate::state::{ReplenishRule, ServerShared, SharedServer};
+use crate::install::{install_lane, EventKind, Grid, InstallTable, Timer};
+use crate::state::SharedServer;
 use crate::system::{finalise_trace, ExecutionPlan, PlannedEvent};
-use rt_model::{
-    AperiodicOutcome, ExecUnit, Instant, Priority, SchedulingPolicy, ServerPolicyKind, Span,
-    SystemSpec, Trace,
-};
+use rt_model::{ExecUnit, Instant, Priority, SchedulingPolicy, Span, SystemSpec, Trace};
 use rt_observe::Probe;
-use rtsj_emu::{
-    Action, BodyCtx, Completion, EventHandle, PeriodicThreadBody, TaskServerParameters, ThreadBody,
-};
+use rtsj_emu::{Action, BodyCtx, Completion, PeriodicThreadBody, ThreadBody};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -116,42 +112,33 @@ pub(crate) struct SubstratePlan {
 }
 
 impl SubstratePlan {
-    /// Derives the substrate from a spec in O(tasks · groups + servers).
-    /// Thread layout is the oracle's spawn order: server lanes first
-    /// (thread id = lane index), then periodic tasks (thread id =
-    /// `servers.len() + task index`).
-    pub(crate) fn analyze(spec: &SystemSpec) -> Self {
-        let server_count = spec.servers.len();
-        let thread_count = server_count + spec.periodic_tasks.len();
-        let mut priorities: Vec<Priority> = Vec::with_capacity(thread_count);
-        priorities.extend(spec.servers.iter().map(|s| s.priority));
-        priorities.extend(spec.periodic_tasks.iter().map(|t| t.priority));
+    /// Derives the substrate from the install table in O(threads · groups +
+    /// timers): ranks over the table's priorities in spawn order, wheel
+    /// groups over its periodic grids. `arrivals` is the number of planned
+    /// servable events.
+    pub(crate) fn analyze(table: &InstallTable, horizon: Instant, arrivals: usize) -> Self {
+        let priorities: Vec<Priority> = table.threads.iter().map(|t| t.priority).collect();
         let (rank_of, order) = rank_tables(&priorities);
 
         let mut groups: Vec<SubstrateGroup> = Vec::new();
-        let mut push_member = |first: Instant, period: Span, tid: u32| match groups
-            .iter_mut()
-            .find(|g| g.first == first && g.period == period)
+        for (tid, grid) in table
+            .threads
+            .iter()
+            .enumerate()
+            .filter_map(|(tid, t)| Some((tid as u32, t.grid?)))
         {
-            Some(g) => g.members.push(tid),
-            None => groups.push(SubstrateGroup {
-                first,
-                period,
-                members: vec![tid],
-                ceiling: u32::MAX,
-            }),
-        };
-        for (index, server) in spec.servers.iter().enumerate() {
-            if server.policy == ServerPolicyKind::Polling {
-                push_member(Instant::ZERO, server.period, index as u32);
+            match groups
+                .iter_mut()
+                .find(|g| g.first == grid.next && g.period == grid.period)
+            {
+                Some(g) => g.members.push(tid),
+                None => groups.push(SubstrateGroup {
+                    first: grid.next,
+                    period: grid.period,
+                    members: vec![tid],
+                    ceiling: u32::MAX,
+                }),
             }
-        }
-        for (index, task) in spec.periodic_tasks.iter().enumerate() {
-            push_member(
-                Instant::ZERO + task.offset,
-                task.period,
-                (server_count + index) as u32,
-            );
         }
         for group in &mut groups {
             group.ceiling = group
@@ -162,7 +149,7 @@ impl SubstratePlan {
                 .unwrap_or(u32::MAX);
         }
 
-        let horizon = spec.horizon.ticks();
+        let horizon = horizon.ticks();
         let releases_before_horizon = |first: u64, period: u64| -> u64 {
             if first >= horizon || period == 0 {
                 0
@@ -170,21 +157,15 @@ impl SubstratePlan {
                 (horizon - first).div_ceil(period)
             }
         };
-        let mut activity: u64 = 0;
-        for task in &spec.periodic_tasks {
-            activity += releases_before_horizon(task.offset.ticks(), task.period.ticks());
+        // One activity per periodic release, per period of a periodic timer
+        // and per planned arrival.
+        let mut activity = arrivals as u64;
+        for grid in table.threads.iter().filter_map(|t| t.grid) {
+            activity += releases_before_horizon(grid.next.ticks(), grid.period.ticks());
         }
-        for server in &spec.servers {
-            match server.policy {
-                // PS activations and DS replenishment fires both recur once
-                // per server period.
-                ServerPolicyKind::Polling | ServerPolicyKind::Deferrable => {
-                    activity += releases_before_horizon(0, server.period.ticks());
-                }
-                ServerPolicyKind::Background | ServerPolicyKind::Sporadic => {}
-            }
+        for period in table.timers.iter().filter_map(|t| t.period) {
+            activity += releases_before_horizon(0, period.ticks());
         }
-        activity += spec.workload().within_horizon_count() as u64;
         let segment_hint = usize::try_from(activity.saturating_mul(4))
             .unwrap_or(usize::MAX)
             .saturating_add(64);
@@ -283,68 +264,18 @@ fn start_period(body: &mut PeriodicThreadBody, now: Instant) -> Status {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Periodic {
-    next: Instant,
-    period: Span,
-    /// Relative deadline of each job: the EDF re-key at every release.
-    relative_deadline: Span,
-}
-
-impl Periodic {
-    /// Takes the release at `next`, returning the fresh job's absolute
-    /// deadline.
-    #[inline]
-    fn take(&mut self) -> Instant {
-        let deadline = self.next + self.relative_deadline;
-        self.next += self.period;
-        deadline
-    }
-}
-
 struct ThreadSlot {
     body: Body,
-    periodic: Option<Periodic>,
+    periodic: Option<Grid>,
     status: Status,
     /// The EDF dispatching key (maintained under EDF only).
     deadline: Instant,
-}
-
-/// Static hook table: what firing an event does, as data instead of boxed
-/// closures. One variant per hook the framework installs.
-#[derive(Debug, Clone, Copy)]
-enum EventKind {
-    /// No hook (the `wakeUp` events): only waiters/pending bookkeeping.
-    Plain,
-    /// A lane replenishment: apply the shared rule, wake when it asks to.
-    Replenish {
-        rule: ReplenishRule,
-        lane: usize,
-        wakeup: usize,
-    },
-    /// A servable async event: queue the release, wake the lane if accepted.
-    Sae {
-        lane: usize,
-        wakeup: Option<usize>,
-        plan_index: usize,
-    },
 }
 
 struct EventSlot {
     kind: EventKind,
     pending: u32,
     waiter: Option<usize>,
-}
-
-/// A pre-run timer of the substrate (per-lane replenishments and mode-change
-/// wake-ups). Servable-event fire timers are not materialized: the planned
-/// events are release-sorted, so a single cursor replays them.
-#[derive(Debug, Clone, Copy)]
-struct StaticTimer {
-    next: Instant,
-    period: Option<Span>,
-    enabled: bool,
-    event: usize,
 }
 
 /// Runtime state of one release-wheel group.
@@ -357,17 +288,17 @@ struct WheelGroup<'p> {
 
 struct FastDriver<'p, PR: Probe, const EDF: bool> {
     // --- immutable tables ---
-    spec: &'p SystemSpec,
+    plan: &'p ExecutionPlan<'p>,
     plan_events: &'p [PlannedEvent],
     rank_of: &'p [u32],
     order: &'p [u32],
     horizon: Instant,
     timer_fire: Span,
-    /// Event index of each planned servable event.
-    sae_events: Vec<usize>,
-    /// Conceptual timer index of the first servable-event fire timer (the
-    /// oracle creates them after every install-time timer), keeping the
-    /// (timer creation order, occurrence instant) fire order exact.
+    /// Event index of the first planned servable event.
+    first_sae: usize,
+    /// Conceptual timer index of the first servable-event fire timer (they
+    /// are numbered after every install-time timer), keeping the (timer
+    /// creation order, occurrence instant) fire order exact.
     sae_base: usize,
 
     // --- mutable run state ---
@@ -375,7 +306,10 @@ struct FastDriver<'p, PR: Probe, const EDF: bool> {
     threads: Vec<ThreadSlot>,
     shareds: Vec<SharedServer>,
     events: Vec<EventSlot>,
-    static_timers: Vec<StaticTimer>,
+    /// The install-time timers (per-lane replenishments and mode-change
+    /// wake-ups). Servable-event fire timers are not materialized: the
+    /// planned events are release-sorted, so a single cursor replays them.
+    static_timers: Vec<Timer>,
     groups: Vec<WheelGroup<'p>>,
     sae_cursor: usize,
     /// Runtime-armed one-shots (SS chunk replenishments): (fire instant,
@@ -418,160 +352,45 @@ struct FastDriver<'p, PR: Probe, const EDF: bool> {
 impl<'p, PR: Probe, const EDF: bool> FastDriver<'p, PR, EDF> {
     fn new(plan: &'p ExecutionPlan<'_>, mut probe: PR) -> Self {
         let spec: &SystemSpec = &plan.spec;
-        let config = &plan.config;
-        let substrate = &plan.substrate;
-        let thread_count = spec.servers.len() + spec.periodic_tasks.len();
-        debug_assert_eq!(
-            substrate.rank_of.len(),
-            thread_count,
-            "substrate was analyzed for a different system"
-        );
+        let (table, substrate) = (&plan.install, &plan.substrate);
+        let thread_count = table.threads.len();
         if PR::ENABLED {
             probe.attach(spec.servers.len());
         }
 
-        let mut threads: Vec<ThreadSlot> = Vec::with_capacity(thread_count);
         let mut shareds: Vec<SharedServer> = Vec::with_capacity(spec.servers.len());
-        let mut events: Vec<EventSlot> =
-            Vec::with_capacity(spec.servers.len() * 2 + plan.events.len());
-        let mut static_timers: Vec<StaticTimer> = Vec::new();
-        let mut lane_wakeup: Vec<Option<usize>> = Vec::with_capacity(spec.servers.len());
-
-        let create_event = |events: &mut Vec<EventSlot>, kind: EventKind| -> usize {
-            events.push(EventSlot {
+        let threads: Vec<ThreadSlot> = table
+            .threads
+            .iter()
+            .enumerate()
+            .map(|(tid, thread)| {
+                let body = if tid < spec.servers.len() {
+                    let (shared, body) =
+                        install_lane(spec, tid, thread.events, plan.config.overhead);
+                    shareds.push(shared);
+                    Body::Server(body)
+                } else {
+                    let task = &spec.periodic_tasks[tid - spec.servers.len()];
+                    Body::Task(PeriodicThreadBody::new(task.cost, ExecUnit::Task(task.id)))
+                };
+                ThreadSlot {
+                    body,
+                    periodic: thread.grid,
+                    status: Status::Ready(Completion::Started),
+                    deadline: thread.deadline,
+                }
+            })
+            .collect();
+        let events: Vec<EventSlot> = table
+            .events
+            .iter()
+            .map(|&kind| EventSlot {
                 kind,
                 pending: 0,
                 waiter: None,
-            });
-            events.len() - 1
-        };
-
-        // Install the servers exactly like `AnyTaskServer::install_with_faults`
-        // does on the oracle: same shared-state construction, same event and
-        // timer creation order, same bodies, same initial EDF deadlines.
-        for (lane, server) in spec.servers.iter().enumerate() {
-            let params = TaskServerParameters::of_spec(server);
-            let shared = match server.policy {
-                ServerPolicyKind::Background => ServerShared::new(
-                    params,
-                    ServerPolicyKind::Background,
-                    config.overhead,
-                    server.discipline,
-                ),
-                policy => ServerShared::with_admission(
-                    params,
-                    policy,
-                    config.overhead,
-                    server.discipline,
-                    server.admission,
-                ),
-            };
-            let first_deadline = Instant::ZERO + params.period;
-            let replenish = |events: &mut Vec<EventSlot>, rule, wakeup| {
-                create_event(events, EventKind::Replenish { rule, lane, wakeup })
-            };
-            let (body, periodic, wakeup, deadline) = match server.policy {
-                ServerPolicyKind::Polling => (
-                    Body::Server(Box::new(PollingServerBody::new(shared.clone()))),
-                    Some(Periodic {
-                        next: Instant::ZERO,
-                        period: params.period,
-                        relative_deadline: params.period,
-                    }),
-                    None,
-                    first_deadline,
-                ),
-                ServerPolicyKind::Deferrable | ServerPolicyKind::Background => {
-                    let wakeup = create_event(&mut events, EventKind::Plain);
-                    let swap = replenish(&mut events, ReplenishRule::Chunks, wakeup);
-                    let body =
-                        EventDrivenServerBody::new(shared.clone(), EventHandle::from_raw(wakeup))
-                            .with_replenish(EventHandle::from_raw(swap));
-                    let deadline = if server.policy == ServerPolicyKind::Deferrable {
-                        let periodic = replenish(&mut events, ReplenishRule::Periodic, wakeup);
-                        static_timers.push(StaticTimer {
-                            next: first_deadline,
-                            period: Some(params.period),
-                            enabled: true,
-                            event: periodic,
-                        });
-                        first_deadline
-                    } else {
-                        // Background servicing never carries a deadline.
-                        Instant::MAX
-                    };
-                    (Body::Server(Box::new(body)), None, Some(wakeup), deadline)
-                }
-                ServerPolicyKind::Sporadic => {
-                    let wakeup = create_event(&mut events, EventKind::Plain);
-                    let chunks = replenish(&mut events, ReplenishRule::Chunks, wakeup);
-                    let body = SporadicServerBody::new(
-                        shared.clone(),
-                        EventHandle::from_raw(wakeup),
-                        EventHandle::from_raw(chunks),
-                    );
-                    (
-                        Body::Server(Box::new(body)),
-                        None,
-                        Some(wakeup),
-                        first_deadline,
-                    )
-                }
-            };
-            let changes: Vec<rt_model::ModeChange> =
-                spec.faults.mode_changes_for(lane).cloned().collect();
-            if !changes.is_empty() {
-                if let Some(wakeup) = wakeup {
-                    for change in &changes {
-                        static_timers.push(StaticTimer {
-                            next: change.at,
-                            period: None,
-                            enabled: true,
-                            event: wakeup,
-                        });
-                    }
-                }
-                shared.borrow_mut().set_mode_changes(changes);
-            }
-            threads.push(ThreadSlot {
-                body,
-                periodic,
-                status: Status::Ready(Completion::Started),
-                deadline,
-            });
-            shareds.push(shared);
-            lane_wakeup.push(wakeup);
-        }
-
-        // The periodic tasks, in the oracle's spawn order.
-        for task in &spec.periodic_tasks {
-            let first = Instant::ZERO + task.offset;
-            threads.push(ThreadSlot {
-                body: Body::Task(PeriodicThreadBody::new(task.cost, ExecUnit::Task(task.id))),
-                periodic: Some(Periodic {
-                    next: first,
-                    period: task.period,
-                    relative_deadline: task.deadline,
-                }),
-                status: Status::Ready(Completion::Started),
-                deadline: first + task.deadline,
-            });
-        }
-
-        // One servable event per planned occurrence; its fire timer is the
-        // release cursor, with conceptual indices after every static timer.
-        let sae_base = static_timers.len();
-        let mut sae_events: Vec<usize> = Vec::with_capacity(plan.events.len());
-        for (plan_index, planned) in plan.events.iter().enumerate() {
-            sae_events.push(create_event(
-                &mut events,
-                EventKind::Sae {
-                    lane: planned.server,
-                    wakeup: lane_wakeup[planned.server],
-                    plan_index,
-                },
-            ));
-        }
+            })
+            .collect();
+        let sae_base = table.timers.len();
         let next_timer_idx = sae_base + plan.events.len();
 
         // Steady-state allocation freedom: reserve the outcome and segment
@@ -585,19 +404,19 @@ impl<'p, PR: Probe, const EDF: bool> FastDriver<'p, PR, EDF> {
 
         let word_count = thread_count.div_ceil(64).max(1);
         let mut driver = FastDriver {
-            spec,
+            plan,
             plan_events: &plan.events,
             rank_of: &substrate.rank_of,
             order: &substrate.order,
             horizon: spec.horizon,
-            timer_fire: config.overhead.timer_fire,
-            sae_events,
+            timer_fire: plan.config.overhead.timer_fire,
+            first_sae: table.first_sae,
             sae_base,
             now: Instant::ZERO,
             threads,
             shareds,
             events,
-            static_timers,
+            static_timers: table.timers.clone(),
             groups: substrate
                 .groups
                 .iter()
@@ -641,20 +460,8 @@ impl<'p, PR: Probe, const EDF: bool> FastDriver<'p, PR, EDF> {
                 self.probe.lane_totals(lane, &totals);
             }
         }
-        let FastDriver {
-            spec,
-            mut trace,
-            shareds,
-            ..
-        } = self;
-        let collected: Option<Vec<AperiodicOutcome>> = (!shareds.is_empty()).then(|| {
-            shareds
-                .iter()
-                .flat_map(|shared| shared.borrow_mut().finalise())
-                .collect()
-        });
-        finalise_trace(spec, shareds.len(), collected, &mut trace);
-        trace
+        finalise_trace(self.plan, &self.shareds, &mut self.trace);
+        self.trace
     }
 
     #[inline]
@@ -808,22 +615,12 @@ impl<'p, PR: Probe, const EDF: bool> FastDriver<'p, PR, EDF> {
         let mut due = std::mem::take(&mut self.due_scratch);
         debug_assert!(due.is_empty());
         for (index, timer) in self.static_timers.iter_mut().enumerate() {
-            if !timer.enabled {
-                continue;
-            }
-            match timer.period {
-                Some(period) => {
-                    while timer.next <= self.now {
-                        due.push((index, timer.next, timer.event));
-                        timer.next += period;
-                    }
-                }
-                None => {
-                    if timer.next <= self.now {
-                        timer.enabled = false;
-                        due.push((index, timer.next, timer.event));
-                    }
-                }
+            while timer.next <= self.now {
+                due.push((index, timer.next, timer.event));
+                timer.next = match timer.period {
+                    Some(period) => timer.next + period,
+                    None => Instant::MAX,
+                };
             }
         }
         while self.sae_cursor < self.plan_events.len()
@@ -832,7 +629,7 @@ impl<'p, PR: Probe, const EDF: bool> FastDriver<'p, PR, EDF> {
             due.push((
                 self.sae_base + self.sae_cursor,
                 self.plan_events[self.sae_cursor].release,
-                self.sae_events[self.sae_cursor],
+                self.first_sae + self.sae_cursor,
             ));
             self.sae_cursor += 1;
         }
@@ -862,9 +659,7 @@ impl<'p, PR: Probe, const EDF: bool> FastDriver<'p, PR, EDF> {
     fn earliest_due(&self) -> Instant {
         let mut next = Instant::MAX;
         for timer in &self.static_timers {
-            if timer.enabled {
-                next = next.min(timer.next);
-            }
+            next = next.min(timer.next);
         }
         if self.sae_cursor < self.plan_events.len() {
             next = next.min(self.plan_events[self.sae_cursor].release);
@@ -1176,7 +971,7 @@ impl<'p, PR: Probe, const EDF: bool> FastDriver<'p, PR, EDF> {
 mod tests {
     use super::*;
     use crate::system::{execute_reference, ExecutionConfig};
-    use rt_model::{ServerSpec, SystemSpec};
+    use rt_model::{ServerPolicyKind, ServerSpec};
 
     fn table1(policy: ServerPolicyKind, capacity: u64, events: &[(u64, u64)]) -> SystemSpec {
         let mut b = SystemSpec::builder("fastpath-table-1");
@@ -1264,7 +1059,8 @@ mod tests {
     #[test]
     fn substrate_ranks_follow_priority_then_spawn_order() {
         let spec = table1(ServerPolicyKind::Polling, 3, &[(0, 2)]);
-        let substrate = SubstratePlan::analyze(&spec);
+        let plan = ExecutionPlan::prepare(&spec, &ExecutionConfig::ideal()).unwrap();
+        let substrate = &plan.substrate;
         // Server (priority 30) ranks first, then tau1 (20), then tau2 (10).
         assert_eq!(substrate.order, vec![0, 1, 2]);
         assert_eq!(substrate.rank_of, vec![0, 1, 2]);

@@ -2,11 +2,22 @@
 //!
 //! Rust implementation of the paper's primary contribution: an RTSJ extension
 //! for designing real-time event-based applications with aperiodic task
-//! servers. It provides the classes of the paper's Figure 1 —
-//! [`ServableAsyncEvent`], [`ServableHandler`] (the SAEH), the abstract
-//! [`TaskServer`] with its [`PollingTaskServer`] and [`DeferrableTaskServer`]
-//! policies plus a [`BackgroundServer`] baseline, and
-//! [`rtsj_emu::TaskServerParameters`] — together with:
+//! servers. The classes of the paper's Figure 1 map onto:
+//!
+//! * the abstract `TaskServer`'s shared state — pending events, capacity,
+//!   outcomes — in [`ServerShared`], built from
+//!   [`rtsj_emu::TaskServerParameters`];
+//! * the `PollingTaskServer`, `DeferrableTaskServer` (plus the background
+//!   baseline) and Sporadic policies in the three schedulable bodies
+//!   [`PollingServerBody`], [`EventDrivenServerBody`] and
+//!   [`SporadicServerBody`];
+//! * the `ServableAsyncEventHandler` in [`ServableHandler`];
+//! * the wiring — one `wakeUp` event per event-driven server, replenishment
+//!   timers, one `ServableAsyncEvent` per occurrence whose fire queues the
+//!   release in its server — in the install table each
+//!   [`ExecutionPlan`] lays out once for both decision loops.
+//!
+//! Around them:
 //!
 //! * the pending-event queue of §4 ([`queue::PendingQueue`]: FIFO-with-skip
 //!   or deadline-ordered service);
@@ -96,8 +107,8 @@
 
 pub mod deferrable;
 pub mod fastpath;
-pub mod framework;
 pub mod handler;
+mod install;
 pub mod polling;
 pub mod queue;
 pub mod serve;
@@ -106,10 +117,6 @@ pub mod state;
 pub mod system;
 
 pub use deferrable::EventDrivenServerBody;
-pub use framework::{
-    AnyTaskServer, BackgroundServer, DeferrableTaskServer, PollingTaskServer, ServableAsyncEvent,
-    SporadicTaskServer, TaskServer,
-};
 pub use handler::{QueuedRelease, ServableHandler};
 pub use polling::PollingServerBody;
 pub use queue::PendingQueue;
@@ -118,6 +125,53 @@ pub use serve::{ServeStep, ServiceLoop};
 pub use sporadic::SporadicServerBody;
 pub use state::{GrantedService, ReplenishRule, ServerShared, SharedServer};
 pub use system::{execute, execute_reference, execute_with_probe, ExecutionConfig, ExecutionPlan};
+
+/// Shared fixtures of the unit tests.
+#[cfg(test)]
+mod test_support {
+    use rt_model::{EventId, ExecUnit, Instant, Priority, ServerSpec, Span, SystemSpec, Trace};
+    use rtsj_emu::OverheadModel;
+
+    /// Runs the paper's Table 1 periodic pair (τ1 = (2, 6) at priority 20,
+    /// τ2 = (1, 6) at priority 10) under `server` on the oracle, with
+    /// `(release, declared cost, actual cost)` firings in units.
+    pub(crate) fn run_table1(
+        server: ServerSpec,
+        events: &[(u64, u64, u64)],
+        horizon: u64,
+        overhead: OverheadModel,
+    ) -> Trace {
+        let mut b = SystemSpec::builder("table-1");
+        b.server(server);
+        b.periodic(
+            "tau1",
+            Span::from_units(2),
+            Span::from_units(6),
+            Priority::new(20),
+        );
+        b.periodic(
+            "tau2",
+            Span::from_units(1),
+            Span::from_units(6),
+            Priority::new(10),
+        );
+        for &(release, declared, actual) in events {
+            let (declared, actual) = (Span::from_units(declared), Span::from_units(actual));
+            b.aperiodic_with(Instant::from_units(release), declared, actual);
+        }
+        b.horizon(Instant::from_units(horizon));
+        let config = crate::ExecutionConfig::ideal().with_overhead(overhead);
+        crate::execute_reference(&b.build().unwrap(), &config)
+    }
+
+    /// The (start, end) units of the handler segments of event `event`.
+    pub(crate) fn handler_segments(trace: &Trace, event: u32) -> Vec<(u64, u64)> {
+        trace
+            .segments_of(ExecUnit::Handler(EventId::new(event)))
+            .map(|s| (s.start.ticks() / 1000, s.end.ticks() / 1000))
+            .collect()
+    }
+}
 
 #[cfg(test)]
 mod proptests {

@@ -78,104 +78,26 @@ impl ThreadBody for PollingServerBody {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::handler::{QueuedRelease, ServableHandler};
-    use crate::state::ServerShared;
-    use rt_model::NameId;
-    use rt_model::{
-        EventId, ExecUnit, HandlerId, Instant, Priority, ServerPolicyKind, Span, TaskId,
-    };
-    use rtsj_emu::{Engine, EngineConfig, OverheadModel, PeriodicThreadBody, TaskServerParameters};
+    use crate::test_support::{handler_segments, run_table1};
+    use crate::{execute_reference, ExecutionConfig};
+    use rt_model::{ExecUnit, Instant, Priority, ServerSpec, Span, SystemSpec, TaskId};
+    use rtsj_emu::OverheadModel;
 
-    /// Builds the Table 1 system (PS capacity `capacity`, period 6, τ1, τ2)
-    /// with the given aperiodic firings, runs it on the engine and returns
-    /// the shared server plus the trace.
-    fn run_table1(
-        capacity: u64,
-        events: &[(u64, u64, Option<u64>)], // (release, actual cost, declared override)
-        horizon: u64,
-        overhead: OverheadModel,
-    ) -> (SharedServer, rt_model::Trace) {
-        let params = TaskServerParameters::new(
+    fn ps(capacity: u64) -> ServerSpec {
+        ServerSpec::polling(
             Span::from_units(capacity),
             Span::from_units(6),
             Priority::new(30),
-        );
-        let shared = ServerShared::new(
-            params,
-            ServerPolicyKind::Polling,
-            overhead,
-            rt_model::QueueDiscipline::FifoSkip,
-        );
-        let mut engine =
-            Engine::new(EngineConfig::new(Instant::from_units(horizon)).with_overhead(overhead));
-        engine.spawn_periodic(
-            "server(PS)",
-            Priority::new(30),
-            Instant::ZERO,
-            Span::from_units(6),
-            Box::new(PollingServerBody::new(shared.clone())),
-        );
-        engine.spawn_periodic(
-            "tau1",
-            Priority::new(20),
-            Instant::ZERO,
-            Span::from_units(6),
-            Box::new(PeriodicThreadBody::new(
-                Span::from_units(2),
-                ExecUnit::Task(TaskId::new(0)),
-            )),
-        );
-        engine.spawn_periodic(
-            "tau2",
-            Priority::new(10),
-            Instant::ZERO,
-            Span::from_units(6),
-            Box::new(PeriodicThreadBody::new(
-                Span::from_units(1),
-                ExecUnit::Task(TaskId::new(1)),
-            )),
-        );
-        for (i, (release, actual, declared)) in events.iter().enumerate() {
-            let event = engine.create_event(format!("e{i}"));
-            let handler = ServableHandler::new(
-                HandlerId::new(i as u32),
-                NameId::from_raw(i as u32),
-                Span::from_units(*actual),
-            )
-            .with_declared_cost(Span::from_units(declared.unwrap_or(*actual)));
-            let shared_hook = shared.clone();
-            let release_at = Instant::from_units(*release);
-            let event_id = EventId::new(i as u32);
-            engine.add_fire_hook(
-                event,
-                Box::new(move |ctx| {
-                    shared_hook
-                        .borrow_mut()
-                        .released(QueuedRelease::new(event_id, handler, release_at), ctx.now());
-                }),
-            );
-            engine.add_one_shot_timer(release_at, event);
-        }
-        let trace = engine.run();
-        (shared, trace)
-    }
-
-    fn handler_segments(trace: &rt_model::Trace, event: u32) -> Vec<(u64, u64)> {
-        trace
-            .segments_of(ExecUnit::Handler(EventId::new(event)))
-            .map(|s| (s.start.ticks() / 1000, s.end.ticks() / 1000))
-            .collect()
+        )
     }
 
     #[test]
     fn scenario1_both_events_served_immediately() {
         // Figure 2: e1@0 and e2@6, PS capacity 3.
-        let (shared, trace) =
-            run_table1(3, &[(0, 2, None), (6, 2, None)], 24, OverheadModel::none());
+        let trace = run_table1(ps(3), &[(0, 2, 2), (6, 2, 2)], 24, OverheadModel::none());
         assert_eq!(handler_segments(&trace, 0), vec![(0, 2)]);
         assert_eq!(handler_segments(&trace, 1), vec![(6, 8)]);
-        let outcomes = shared.borrow_mut().finalise();
+        let outcomes = &trace.outcomes;
         assert!(outcomes.iter().all(|o| o.is_served()));
         assert_eq!(outcomes[0].response_time(), Some(Span::from_units(2)));
         assert_eq!(outcomes[1].response_time(), Some(Span::from_units(2)));
@@ -189,11 +111,10 @@ mod tests {
         // Figure 3: e1@2 and e2@4, PS capacity 3. The implementation serves
         // h1 at 6..8; h2 (cost 2) does not fit in the remaining capacity (1)
         // and is delayed to the next activation, 12..14.
-        let (shared, trace) =
-            run_table1(3, &[(2, 2, None), (4, 2, None)], 24, OverheadModel::none());
+        let trace = run_table1(ps(3), &[(2, 2, 2), (4, 2, 2)], 24, OverheadModel::none());
         assert_eq!(handler_segments(&trace, 0), vec![(6, 8)]);
         assert_eq!(handler_segments(&trace, 1), vec![(12, 14)]);
-        let outcomes = shared.borrow_mut().finalise();
+        let outcomes = &trace.outcomes;
         assert_eq!(outcomes[0].response_time(), Some(Span::from_units(6)));
         assert_eq!(outcomes[1].response_time(), Some(Span::from_units(10)));
         assert!(outcomes.iter().all(|o| !o.is_interrupted()));
@@ -204,15 +125,10 @@ mod tests {
         // Figure 4: same firings, but h2 declares a cost of 1 while really
         // needing 2. It is dispatched at 8 (declared 1 ≤ remaining 1) and the
         // budget enforcement interrupts it at 9.
-        let (shared, trace) = run_table1(
-            3,
-            &[(2, 2, None), (4, 2, Some(1))],
-            24,
-            OverheadModel::none(),
-        );
+        let trace = run_table1(ps(3), &[(2, 2, 2), (4, 1, 2)], 24, OverheadModel::none());
         assert_eq!(handler_segments(&trace, 0), vec![(6, 8)]);
         assert_eq!(handler_segments(&trace, 1), vec![(8, 9)]);
-        let outcomes = shared.borrow_mut().finalise();
+        let outcomes = &trace.outcomes;
         assert!(outcomes[0].is_served());
         assert!(outcomes[1].is_interrupted());
         match outcomes[1].fate {
@@ -229,8 +145,8 @@ mod tests {
 
     #[test]
     fn periodic_tasks_keep_their_deadlines_under_the_server() {
-        let events: Vec<(u64, u64, Option<u64>)> = (0..8).map(|i| (i * 5, 3, None)).collect();
-        let (_, trace) = run_table1(3, &events, 60, OverheadModel::none());
+        let events: Vec<(u64, u64, u64)> = (0..8).map(|i| (i * 5, 3, 3)).collect();
+        let trace = run_table1(ps(3), &events, 60, OverheadModel::none());
         // tau1 gets 2 units in every period of 6: check its busy time.
         assert_eq!(
             trace.busy_time(ExecUnit::Task(TaskId::new(0))),
@@ -249,45 +165,12 @@ mod tests {
         // overheads (0.1 dispatch + 0.05 enforcement) the work budget is
         // 3.85 < 3.95, so the handler is interrupted — the paper's "remaining
         // capacity too close to the cost of the event".
-        let params_cost_ticks = 3_950u64;
-        // Build manually to express the fractional cost.
-        let params =
-            TaskServerParameters::new(Span::from_units(4), Span::from_units(6), Priority::new(30));
-        let shared = ServerShared::new(
-            params,
-            ServerPolicyKind::Polling,
-            OverheadModel::reference(),
-            rt_model::QueueDiscipline::FifoSkip,
-        );
-        let mut engine = Engine::new(
-            EngineConfig::new(Instant::from_units(12)).with_overhead(OverheadModel::reference()),
-        );
-        engine.spawn_periodic(
-            "server(PS)",
-            Priority::new(30),
-            Instant::ZERO,
-            Span::from_units(6),
-            Box::new(PollingServerBody::new(shared.clone())),
-        );
-        let event = engine.create_event("e0");
-        let handler = ServableHandler::new(
-            HandlerId::new(0),
-            NameId::UNNAMED,
-            Span::from_ticks(params_cost_ticks),
-        );
-        let hook_state = shared.clone();
-        engine.add_fire_hook(
-            event,
-            Box::new(move |ctx| {
-                hook_state.borrow_mut().released(
-                    QueuedRelease::new(EventId::new(0), handler, Instant::ZERO),
-                    ctx.now(),
-                );
-            }),
-        );
-        engine.add_one_shot_timer(Instant::ZERO, event);
-        let _trace = engine.run();
-        let outcomes = shared.borrow_mut().finalise();
+        let mut b = SystemSpec::builder("ps-overhead");
+        b.server(ps(4));
+        b.aperiodic(Instant::ZERO, Span::from_ticks(3_950));
+        b.horizon(Instant::from_units(12));
+        let trace = execute_reference(&b.build().unwrap(), &ExecutionConfig::reference());
+        let outcomes = &trace.outcomes;
         assert_eq!(outcomes.len(), 1);
         assert!(
             outcomes[0].is_interrupted(),

@@ -260,15 +260,13 @@ mod tests {
     use crate::handler::{QueuedRelease, ServableHandler};
     use crate::state::ServerShared;
     use rt_model::NameId;
-    use rt_model::{EventId, HandlerId, Priority, ServerPolicyKind};
-    use rtsj_emu::{OverheadModel, TaskServerParameters};
+    use rt_model::{EventId, HandlerId, Priority, ServerSpec};
+    use rtsj_emu::OverheadModel;
 
     fn shared(overhead: OverheadModel) -> SharedServer {
         ServerShared::new(
-            TaskServerParameters::new(Span::from_units(4), Span::from_units(6), Priority::new(30)),
-            ServerPolicyKind::Polling,
+            &ServerSpec::polling(Span::from_units(4), Span::from_units(6), Priority::new(30)),
             overhead,
-            rt_model::QueueDiscipline::FifoSkip,
         )
     }
 

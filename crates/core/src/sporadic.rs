@@ -80,65 +80,25 @@ impl ThreadBody for SporadicServerBody {
 
 #[cfg(test)]
 mod tests {
-    use crate::framework::{ServableAsyncEvent, SporadicTaskServer, TaskServer};
-    use crate::handler::ServableHandler;
-    use rt_model::{EventId, ExecUnit, HandlerId, Instant, NameId, Priority, Span, TaskId};
-    use rtsj_emu::{Engine, EngineConfig, OverheadModel, PeriodicThreadBody, TaskServerParameters};
+    use crate::test_support::{handler_segments, run_table1};
+    use rt_model::{Priority, ServerSpec, Span};
+    use rtsj_emu::OverheadModel;
 
-    /// Installs a sporadic server (capacity 3, period 6, priority 30) above
-    /// the Table 1 periodic pair, fires the given (release, cost) events and
-    /// returns the outcomes plus the trace.
-    fn run_sporadic(
-        events: &[(u64, u64)],
-        horizon: u64,
-    ) -> (Vec<rt_model::AperiodicOutcome>, rt_model::Trace) {
-        let mut engine = Engine::new(
-            EngineConfig::new(Instant::from_units(horizon)).with_overhead(OverheadModel::none()),
-        );
-        let server = SporadicTaskServer::install(
-            &mut engine,
-            TaskServerParameters::new(Span::from_units(3), Span::from_units(6), Priority::new(30)),
-            rt_model::QueueDiscipline::FifoSkip,
-            rt_model::AdmissionPolicy::AcceptAll,
-        );
-        engine.spawn_periodic(
-            "tau1",
-            Priority::new(20),
-            Instant::ZERO,
-            Span::from_units(6),
-            Box::new(PeriodicThreadBody::new(
-                Span::from_units(2),
-                ExecUnit::Task(TaskId::new(0)),
-            )),
-        );
-        for (i, &(release, cost)) in events.iter().enumerate() {
-            let handler = ServableHandler::new(
-                HandlerId::new(i as u32),
-                NameId::from_raw(i as u32),
-                Span::from_units(cost),
-            );
-            let sae =
-                ServableAsyncEvent::create(&mut engine, EventId::new(i as u32), handler, &server);
-            sae.schedule_fire(&mut engine, Instant::from_units(release));
-        }
-        let trace = engine.run();
-        let outcomes = server.shared().borrow_mut().finalise();
-        (outcomes, trace)
-    }
-
-    fn handler_segments(trace: &rt_model::Trace, event: u32) -> Vec<(u64, u64)> {
-        trace
-            .segments_of(ExecUnit::Handler(EventId::new(event)))
-            .map(|s| (s.start.ticks() / 1000, s.end.ticks() / 1000))
-            .collect()
+    /// Runs a sporadic server (capacity 3, period 6, priority 30) above the
+    /// Table 1 periodic pair with the given (release, cost) firings.
+    fn run_sporadic(events: &[(u64, u64)], horizon: u64) -> rt_model::Trace {
+        let server =
+            ServerSpec::sporadic(Span::from_units(3), Span::from_units(6), Priority::new(30));
+        let events: Vec<_> = events.iter().map(|&(at, cost)| (at, cost, cost)).collect();
+        run_table1(server, &events, horizon, OverheadModel::none())
     }
 
     #[test]
     fn sporadic_server_serves_on_arrival_like_the_ds() {
         // e1@2 cost 2: the SS starts full and serves immediately (2..4).
-        let (outcomes, trace) = run_sporadic(&[(2, 2)], 24);
+        let trace = run_sporadic(&[(2, 2)], 24);
         assert_eq!(handler_segments(&trace, 0), vec![(2, 4)]);
-        assert_eq!(outcomes[0].response_time(), Some(Span::from_units(2)));
+        assert_eq!(trace.outcomes[0].response_time(), Some(Span::from_units(2)));
     }
 
     #[test]
@@ -146,20 +106,20 @@ mod tests {
         // e1@0 cost 3 exhausts the capacity in a chunk anchored at 0: the
         // replenishment of 3 arrives at 6. e2@1 cost 2 must wait for it and
         // is served 6..8.
-        let (outcomes, trace) = run_sporadic(&[(0, 3), (1, 2)], 24);
+        let trace = run_sporadic(&[(0, 3), (1, 2)], 24);
         assert_eq!(handler_segments(&trace, 0), vec![(0, 3)]);
         assert_eq!(handler_segments(&trace, 1), vec![(6, 8)]);
-        assert!(outcomes.iter().all(|o| o.is_served()));
+        assert!(trace.outcomes.iter().all(|o| o.is_served()));
     }
 
     #[test]
     fn replenishment_anchor_follows_the_activation_not_the_period_grid() {
         // e1@4 cost 2 (chunk anchored at 4, replenished at 10), then e2@11
         // cost 3: at 11 the capacity is back to full, served 11..14.
-        let (outcomes, trace) = run_sporadic(&[(4, 2), (11, 3)], 24);
+        let trace = run_sporadic(&[(4, 2), (11, 3)], 24);
         assert_eq!(handler_segments(&trace, 0), vec![(4, 6)]);
         assert_eq!(handler_segments(&trace, 1), vec![(11, 14)]);
-        assert!(outcomes.iter().all(|o| o.is_served()));
+        assert!(trace.outcomes.iter().all(|o| o.is_served()));
         // Contrast with a DS: its periodic refill at 6 would already have
         // restored the capacity at 6, and with a PS: e1 would have waited
         // for the activation at 6. The SS anchors on consumption instead.
@@ -169,17 +129,17 @@ mod tests {
     fn sporadic_preserves_capacity_across_idle_periods() {
         // Nothing arrives until t=20; the untouched capacity is still full
         // (no periodic forfeits), so a cost-3 burst is served at once.
-        let (outcomes, trace) = run_sporadic(&[(20, 3)], 36);
+        let trace = run_sporadic(&[(20, 3)], 36);
         assert_eq!(handler_segments(&trace, 0), vec![(20, 23)]);
-        assert!(outcomes[0].is_served());
+        assert!(trace.outcomes[0].is_served());
     }
 
     #[test]
     fn overload_leaves_later_events_unserved_within_the_horizon() {
         let events: Vec<(u64, u64)> = (0..12).map(|i| (i, 3)).collect();
-        let (outcomes, _trace) = run_sporadic(&events, 30);
-        let served = outcomes.iter().filter(|o| o.is_served()).count();
-        let unserved = outcomes.iter().filter(|o| !o.is_served()).count();
+        let trace = run_sporadic(&events, 30);
+        let served = trace.outcomes.iter().filter(|o| o.is_served()).count();
+        let unserved = trace.outcomes.iter().filter(|o| !o.is_served()).count();
         assert!(served >= 4, "one chunk per period must keep being served");
         assert!(unserved > 0, "the horizon caps the replenished bandwidth");
     }

@@ -14,7 +14,7 @@ use crate::queue::PendingQueue;
 use rt_admission::{ArrivingEvent, ServerAdmission};
 use rt_model::{
     AdmissionPolicy, AperiodicFate, AperiodicOutcome, EventId, Instant, ModeChange,
-    QueueDiscipline, ServerPolicyKind, Span,
+    ServerPolicyKind, ServerSpec, Span,
 };
 use rt_observe::LaneTotals;
 use rtsj_emu::{OverheadModel, TaskServerParameters};
@@ -93,8 +93,8 @@ pub struct ServerShared {
 pub type SharedServer = Rc<RefCell<ServerShared>>;
 
 /// What a lane's replenishment event does when it fires. Each rule exists
-/// once, in [`ServerShared::on_replenish`]: the framework's fire hooks and
-/// the table-driven driver's event table both call it.
+/// once, in [`ServerShared::on_replenish`]: the oracle's fire hooks and the
+/// table-driven driver's event dispatch both call it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplenishRule {
     /// The Deferrable Server's periodic replenishment: apply due mode
@@ -107,43 +107,26 @@ pub enum ReplenishRule {
 }
 
 impl ServerShared {
-    /// Creates the state and wraps it for sharing.
-    pub fn new(
-        params: TaskServerParameters,
-        policy: ServerPolicyKind,
-        overhead: OverheadModel,
-        discipline: QueueDiscipline,
-    ) -> SharedServer {
-        Self::with_admission(
-            params,
-            policy,
-            overhead,
-            discipline,
-            AdmissionPolicy::AcceptAll,
-        )
-    }
-
-    /// Creates the state with an on-line admission policy. Background
-    /// servicing has no capacity plan to predict against and always accepts.
-    pub fn with_admission(
-        params: TaskServerParameters,
-        policy: ServerPolicyKind,
-        overhead: OverheadModel,
-        discipline: QueueDiscipline,
-        admission: AdmissionPolicy,
-    ) -> SharedServer {
-        let machine = if policy == ServerPolicyKind::Background {
-            ServerAdmission::accept_all()
+    /// Creates the state of the lane `server` describes and wraps it for
+    /// sharing. Background servicing has no capacity plan to predict against
+    /// and always accepts.
+    pub fn new(server: &ServerSpec, overhead: OverheadModel) -> SharedServer {
+        let params = TaskServerParameters::of_spec(server);
+        let (machine, admission) = if server.policy == ServerPolicyKind::Background {
+            (ServerAdmission::accept_all(), AdmissionPolicy::AcceptAll)
         } else {
-            ServerAdmission::with_params(admission, params.capacity, params.period)
+            (
+                ServerAdmission::with_params(server.admission, params.capacity, params.period),
+                server.admission,
+            )
         };
         Rc::new(RefCell::new(ServerShared {
             params,
-            policy,
+            policy: server.policy,
             overhead,
             remaining: params.capacity,
             next_replenishment: Instant::ZERO + params.period,
-            queue: PendingQueue::new(discipline),
+            queue: PendingQueue::new(server.discipline),
             outcomes: Vec::new(),
             pending_replenishments: VecDeque::new(),
             active_since: None,
@@ -256,8 +239,8 @@ impl ServerShared {
         };
     }
 
-    /// Registers a release (the `servableEventReleased` entry point called by
-    /// `ServableAsyncEvent::fire`), consulting the server's on-line
+    /// Registers a release (the `servableEventReleased` entry point called
+    /// when a servable event fires), consulting the server's on-line
     /// admission policy first. Returns `true` when the release was admitted
     /// into the pending queue; a refused release is recorded as
     /// [`AperiodicFate::Rejected`] and any backlog entries displaced by a
@@ -550,10 +533,6 @@ mod tests {
     use rt_model::NameId;
     use rt_model::{EventId, HandlerId, Priority};
 
-    fn params() -> TaskServerParameters {
-        TaskServerParameters::new(Span::from_units(4), Span::from_units(6), Priority::new(30))
-    }
-
     fn release(id: u32, cost: u64, at: u64) -> QueuedRelease {
         QueuedRelease::new(
             EventId::new(id),
@@ -567,12 +546,11 @@ mod tests {
     }
 
     fn shared(policy: ServerPolicyKind) -> SharedServer {
-        ServerShared::new(
-            params(),
+        let server = ServerSpec {
             policy,
-            OverheadModel::none(),
-            QueueDiscipline::FifoSkip,
-        )
+            ..ServerSpec::polling(Span::from_units(4), Span::from_units(6), Priority::new(30))
+        };
+        ServerShared::new(&server, OverheadModel::none())
     }
 
     #[test]
@@ -642,15 +620,12 @@ mod tests {
     fn background_serves_fifo_without_budget() {
         let server = shared(ServerPolicyKind::Background);
         let mut s = server.borrow_mut();
+        let before = s.remaining;
         s.released(release(0, 50, 0), Instant::ZERO);
         let granted = s.choose_next(Instant::ZERO).unwrap();
         assert_eq!(granted.granted, Span::MAX);
         s.consume(Span::from_units(50));
-        assert_eq!(
-            s.remaining,
-            params().capacity,
-            "background consumes no capacity"
-        );
+        assert_eq!(s.remaining, before, "background consumes no capacity");
     }
 
     #[test]

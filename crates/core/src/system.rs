@@ -12,19 +12,22 @@
 //! Every entry point ([`execute`], [`execute_with_probe`],
 //! [`ExecutionPlan::run`], [`ExecutionPlan::run_with_probe`]) runs the one
 //! table-driven driver of [`crate::fastpath`], under fixed priorities and
-//! EDF alike. [`execute_reference`] installs the same framework objects on
-//! the naive `rtsj-emu` [`Engine`] — the reference oracle the driver is
-//! tested against.
+//! EDF alike. [`execute_reference`] installs the same schedulables, events
+//! and timers on the naive `rtsj-emu` [`Engine`] — the reference oracle the
+//! driver is tested against. Both read them from the plan's install table.
 
 use crate::fastpath::SubstratePlan;
-use crate::framework::{AnyTaskServer, ServableAsyncEvent, TaskServer};
-use crate::handler::ServableHandler;
+use crate::handler::{QueuedRelease, ServableHandler};
+use crate::install::{install_lane, EventKind, InstallTable};
+use crate::state::SharedServer;
 use rt_model::{
     AperiodicFate, AperiodicOutcome, ExecUnit, Instant, ModelError, NameTable, PeriodicJobRecord,
     PeriodicTask, Span, SystemSpec, Trace,
 };
 use rt_observe::{NoopProbe, Probe};
-use rtsj_emu::{Engine, EngineConfig, OverheadModel, PeriodicThreadBody};
+use rtsj_emu::{
+    Engine, EngineConfig, EventHandle, FireHook, OverheadModel, PeriodicThreadBody, ThreadBody,
+};
 use std::borrow::Cow;
 
 /// Configuration of an execution run.
@@ -107,10 +110,11 @@ pub fn execute_with_probe<P: Probe>(
 }
 
 /// Executes the system on the naive `rtsj-emu` [`Engine`] — the execution
-/// world's reference oracle. The real framework objects are installed
-/// ([`AnyTaskServer`] per server, one [`ServableAsyncEvent`] and firing
-/// timer per planned occurrence, a periodic real-time thread per task), and
-/// the engine rescans every thread and timer at every decision. Traces are
+/// world's reference oracle. The plan's install table is replayed on the
+/// engine — a schedulable per server lane and per periodic task, the lanes'
+/// events and replenishment timers, one servable event and firing timer per
+/// planned occurrence — and the engine rescans every thread and timer at
+/// every decision. Traces are
 /// byte-identical to [`execute`]; the differential tests, the fuzzer and
 /// the goldens pin the driver to this function.
 ///
@@ -138,8 +142,9 @@ pub(crate) struct PlannedEvent {
 /// The compiled schedulable table of one system × configuration: everything
 /// [`execute`] derives from the spec before the driver starts — validation,
 /// the servable handler templates of the events that actually install
-/// (released within the horizon, routed to an existing server) and the
-/// driver's dispatch substrate — computed once in [`ExecutionPlan::prepare`]
+/// (released within the horizon, routed to an existing server), the install
+/// table of every thread, event and timer, and the driver's dispatch
+/// substrate — computed once in [`ExecutionPlan::prepare`]
 /// and replayed by [`ExecutionPlan::run`] as many times as needed.
 /// [`execute`] is `prepare().run()`, so planned and direct executions are
 /// byte-identical by construction.
@@ -153,6 +158,7 @@ pub struct ExecutionPlan<'a> {
     pub(crate) names: NameTable,
     pub(crate) config: ExecutionConfig,
     pub(crate) events: Vec<PlannedEvent>,
+    pub(crate) install: InstallTable,
     pub(crate) substrate: SubstratePlan,
 }
 
@@ -199,13 +205,15 @@ impl<'a> ExecutionPlan<'a> {
                 },
                 release: event.release,
             })
-            .collect();
-        let substrate = SubstratePlan::analyze(&spec);
+            .collect::<Vec<_>>();
+        let install = InstallTable::lay_out(&spec, &events);
+        let substrate = SubstratePlan::analyze(&install, spec.horizon, events.len());
         ExecutionPlan {
             spec,
             names,
             config: *config,
             events,
+            install,
             substrate,
         }
     }
@@ -249,88 +257,126 @@ impl<'a> ExecutionPlan<'a> {
     }
 
     /// Runs the plan on the naive `rtsj-emu` [`Engine`]: the body of
-    /// [`execute_reference`].
+    /// [`execute_reference`]. Threads, events and timers are created in
+    /// install-table order, so the engine's handles are the table's indices.
     fn run_reference(&self) -> Trace {
-        let spec = &self.spec;
+        let (spec, table) = (&*self.spec, &self.install);
         let mut engine = Engine::new(
             EngineConfig::new(spec.horizon)
                 .with_overhead(self.config.overhead)
                 .with_policy(spec.scheduling),
         );
-
-        // The task servers, in install (table) order; one installed server
-        // per entry of `spec.servers`, each with its own pending queue.
-        let servers: Vec<AnyTaskServer> = spec
-            .servers
-            .iter()
-            .enumerate()
-            .map(|(index, server_spec)| {
-                let changes = spec.faults.mode_changes_for(index).cloned().collect();
-                AnyTaskServer::install_with_faults(&mut engine, server_spec, changes)
-            })
-            .collect();
-
-        // The periodic tasks, as periodic real-time threads.
-        for task in &spec.periodic_tasks {
-            let thread = engine.spawn_periodic(
-                task.name.clone(),
-                task.priority,
-                Instant::ZERO + task.offset,
-                task.period,
-                Box::new(PeriodicThreadBody::new(task.cost, ExecUnit::Task(task.id))),
-            );
-            if task.deadline != task.period {
-                // Constrained deadlines re-key the EDF dispatcher; under
-                // fixed priorities the value is stored but unused.
-                engine.set_relative_deadline(thread, task.deadline);
+        let mut lanes: Vec<SharedServer> = Vec::with_capacity(spec.servers.len());
+        for (tid, thread) in table.threads.iter().enumerate() {
+            let body: Box<dyn ThreadBody> = if tid < spec.servers.len() {
+                let (shared, body) = install_lane(spec, tid, thread.events, self.config.overhead);
+                lanes.push(shared);
+                body
+            } else {
+                let task = &spec.periodic_tasks[tid - spec.servers.len()];
+                Box::new(PeriodicThreadBody::new(task.cost, ExecUnit::Task(task.id)))
+            };
+            let handle = match thread.grid {
+                Some(grid) => {
+                    let handle =
+                        engine.spawn_periodic("", thread.priority, grid.next, grid.period, body);
+                    engine.set_relative_deadline(handle, grid.relative_deadline);
+                    handle
+                }
+                None => engine.spawn("", thread.priority, body),
+            };
+            engine.set_thread_deadline(handle, thread.deadline);
+        }
+        for &kind in &table.events {
+            let event = engine.create_event("");
+            if let Some(hook) = self.fire_hook(kind, &lanes) {
+                engine.add_fire_hook(event, hook);
             }
         }
-
-        // One servable async event + firing timer per planned occurrence,
-        // bound to the server the event routes to.
-        for planned in &self.events {
-            let server = &servers[planned.server];
-            let sae =
-                ServableAsyncEvent::create(&mut engine, planned.event, planned.handler, server);
-            sae.schedule_fire(&mut engine, planned.release);
+        for timer in &table.timers {
+            let event = EventHandle::from_raw(timer.event);
+            match timer.period {
+                Some(period) => engine.add_periodic_timer(timer.next, period, event),
+                None => engine.add_one_shot_timer(timer.next, event),
+            }
+        }
+        for (index, planned) in self.events.iter().enumerate() {
+            let event = EventHandle::from_raw(table.first_sae + index);
+            engine.add_one_shot_timer(planned.release, event);
         }
 
         let mut trace = engine.run();
-        let collected = (!servers.is_empty()).then(|| {
-            servers
-                .iter()
-                .flat_map(|server| server.shared().borrow_mut().finalise())
-                .collect()
-        });
-        finalise_trace(spec, servers.len(), collected, &mut trace);
+        finalise_trace(self, &lanes, &mut trace);
         trace
+    }
+
+    /// The oracle's fire hook of an event of kind `kind`: the same rules the
+    /// driver applies when it dispatches on the kind directly.
+    fn fire_hook(&self, kind: EventKind, lanes: &[SharedServer]) -> Option<FireHook> {
+        match kind {
+            EventKind::Plain => None,
+            EventKind::Replenish { rule, lane, wakeup } => {
+                let shared = lanes[lane].clone();
+                Some(Box::new(move |ctx| {
+                    if shared.borrow_mut().on_replenish(rule, ctx.now()) {
+                        ctx.fire(EventHandle::from_raw(wakeup));
+                    }
+                }))
+            }
+            EventKind::Sae {
+                lane,
+                wakeup,
+                plan_index,
+            } => {
+                let (shared, planned) = (lanes[lane].clone(), self.events[plan_index]);
+                Some(Box::new(move |ctx| {
+                    let release = QueuedRelease::new(planned.event, planned.handler, ctx.now());
+                    // A refused release never entered the queue: it wakes
+                    // nothing.
+                    if shared.borrow_mut().released(release, ctx.now()) {
+                        if let Some(wakeup) = wakeup {
+                            ctx.fire(EventHandle::from_raw(wakeup));
+                        }
+                    }
+                }))
+            }
+        }
     }
 }
 
 /// Shared post-run finalisation of an execution trace, used by both the
-/// driver and the reference engine: attach the
-/// aperiodic outcomes recorded by the servers — completing them with
-/// `Unserved` for any released event with no recorded fate (e.g. the one
-/// being served when the horizon was reached) — and reconstruct the periodic
-/// job records from the execution segments.
-pub(crate) fn finalise_trace(
-    spec: &SystemSpec,
-    server_count: usize,
-    collected: Option<Vec<AperiodicOutcome>>,
-    trace: &mut Trace,
-) {
-    if let Some(mut outcomes) = collected {
-        for event in &spec.aperiodics {
-            if event.release >= spec.horizon || event.server >= server_count {
-                continue;
-            }
-            if !outcomes.iter().any(|o| o.event == event.id) {
+/// driver and the reference engine: attach the aperiodic outcomes recorded
+/// by the `lanes` — completing them with `Unserved` for any planned event
+/// with no recorded fate (e.g. the one being served when the horizon was
+/// reached) — and reconstruct the periodic job records from the execution
+/// segments.
+pub(crate) fn finalise_trace(plan: &ExecutionPlan<'_>, lanes: &[SharedServer], trace: &mut Trace) {
+    let spec = &*plan.spec;
+    if !lanes.is_empty() {
+        let mut outcomes: Vec<AperiodicOutcome> = lanes
+            .iter()
+            .flat_map(|lane| lane.borrow_mut().finalise())
+            .collect();
+        // A seen-bitmap keyed by event index: O(events + outcomes).
+        let slots = plan
+            .events
+            .iter()
+            .map(|planned| planned.event.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut recorded = vec![false; slots];
+        for outcome in &outcomes {
+            recorded[outcome.event.index()] = true;
+        }
+        for planned in &plan.events {
+            if !recorded[planned.event.index()] {
+                let release = QueuedRelease::new(planned.event, planned.handler, planned.release);
                 outcomes.push(AperiodicOutcome {
-                    event: event.id,
-                    release: event.release,
-                    declared_cost: event.declared_cost,
-                    value: event.value,
-                    deadline: event.absolute_deadline(),
+                    event: planned.event,
+                    release: planned.release,
+                    declared_cost: release.declared_cost(),
+                    value: release.value(),
+                    deadline: release.admission_deadline(),
                     fate: AperiodicFate::Unserved,
                 });
             }
@@ -338,7 +384,6 @@ pub(crate) fn finalise_trace(
         outcomes.sort_by_key(|o| (o.release, o.event));
         trace.outcomes = outcomes;
     }
-
     // One reservation for all records: the job count is computable from the
     // spec, so the record vector never grows incrementally (part of the
     // horizon-independent allocation discipline the zero-allocation

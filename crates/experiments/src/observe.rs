@@ -64,7 +64,7 @@ pub struct ObserveReport {
 /// Re-runs a paper table with a metrics probe on every run and returns the
 /// per-set merged observations.
 ///
-/// Determinism: generation is per-set-seeded exactly like the table
+/// Determinism: generation is per-set-seeded the same way as the table
 /// harness, each `(set, system)` run records into a fresh probe, and the
 /// per-worker partials merge by element-wise addition — so the report is
 /// bit-identical for any `workers`, including 1.

@@ -167,7 +167,7 @@ pub struct ContainmentMeasures {
 impl ContainmentMeasures {
     /// Computes the containment measures of one trace against the fault
     /// plan that produced it, censoring deadline observations at the trace
-    /// horizon exactly like [`RunMeasures::from_trace`].
+    /// horizon the same way as [`RunMeasures::from_trace`].
     pub fn from_trace(trace: &Trace, faults: &FaultPlan) -> Self {
         let affected_ids: Vec<_> = faults.overruns.iter().map(|o| o.event).collect();
         let is_affected = |o: &AperiodicOutcome| affected_ids.contains(&o.event);

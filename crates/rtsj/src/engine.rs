@@ -107,9 +107,9 @@ impl FireCtx {
     }
 }
 
-/// A hook invoked synchronously when an event fires. Hooks are how the
-/// task-server framework's `ServableAsyncEvent` notifies its servers
-/// (`servableEventReleased`) at fire time.
+/// A hook invoked synchronously when an event fires. Hooks are how a
+/// servable event notifies its server (`servableEventReleased`) at fire
+/// time.
 pub type FireHook = Box<dyn FnMut(&mut FireCtx)>;
 
 /// Engine configuration.

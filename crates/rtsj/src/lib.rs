@@ -5,9 +5,11 @@
 //! implementation. This crate provides the corresponding substrate for the
 //! Rust reproduction:
 //!
-//! * [`params`] — the RTSJ parameter objects (`PriorityParameters`,
-//!   `ReleaseParameters`, `ProcessingGroupParameters`, and the paper's
-//!   `TaskServerParameters`);
+//! * [`params`] — the paper's `TaskServerParameters`. The RTSJ's own
+//!   `ProcessingGroupParameters` are left out: cost enforcement is optional
+//!   for a compliant VM and absent from the reference implementation the
+//!   paper ran on, so PGP cannot bound aperiodic work — which is why the
+//!   paper builds task servers;
 //! * [`body`] — the coroutine-style protocol ([`body::ThreadBody`]) through
 //!   which schedulable objects describe their behaviour to the engine,
 //!   covering `waitForNextPeriod`, event waits and `Timed.doInterruptible`;
@@ -16,8 +18,7 @@
 //!   above every application priority, and `Timed` budget enforcement;
 //! * [`overhead`] — the explicit runtime-cost model that recreates the
 //!   execution-vs-simulation gap measured by the paper;
-//! * [`handlers`] — ready-made bodies for periodic real-time threads and
-//!   event-bound handlers;
+//! * [`handlers`] — the body of a plain periodic real-time thread;
 //! * [`wallclock`] — an optional real-thread demonstration runner.
 //!
 //! The task-server framework itself (the paper's contribution) lives in the
@@ -69,11 +70,9 @@ pub mod wallclock;
 
 pub use body::{Action, BodyCtx, Completion, ThreadBody};
 pub use engine::{Engine, EngineConfig, EventHandle, FireCtx, FireHook, ThreadHandle};
-pub use handlers::{BoundHandlerBody, HandlerRun, PeriodicThreadBody};
+pub use handlers::PeriodicThreadBody;
 pub use overhead::OverheadModel;
-pub use params::{
-    PriorityParameters, ProcessingGroupParameters, ReleaseParameters, TaskServerParameters,
-};
+pub use params::TaskServerParameters;
 
 #[cfg(test)]
 mod proptests {
@@ -185,12 +184,15 @@ mod proptests {
                 );
                 let event = engine.create_event("e");
                 engine.add_periodic_timer(Instant::from_units(1), Span::from_units(7), event);
-                let (body, _runs) = BoundHandlerBody::new(
-                    event,
-                    Span::from_units(1),
-                    ExecUnit::Handler(rt_model::EventId::new(0)),
-                );
-                engine.spawn("handler", Priority::new(95), Box::new(body));
+                // A handler bound to the event, outside any server.
+                let handler = move |_: &mut BodyCtx, completion: Completion| match completion {
+                    Completion::EventFired => Action::Compute {
+                        amount: Span::from_units(1),
+                        unit: ExecUnit::Handler(rt_model::EventId::new(0)),
+                    },
+                    _ => Action::WaitForEvent(event),
+                };
+                engine.spawn("handler", Priority::new(95), Box::new(handler));
                 for (i, (prio, cost, period)) in workers.iter().enumerate() {
                     engine.spawn_periodic(
                         format!("w{i}"),

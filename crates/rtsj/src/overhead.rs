@@ -24,7 +24,7 @@ pub struct OverheadModel {
     pub timer_fire: Span,
     /// Cost paid by a task server to dispatch one handler (queue manipulation,
     /// starting the `Timed` interruptible section). Charged *inside* the
-    /// budget granted to the handler, exactly like the RTSJ implementation.
+    /// budget granted to the handler, as in the RTSJ implementation.
     pub dispatch: Span,
     /// Cost of tearing down the interruptible section and updating the
     /// remaining capacity after a handler finishes or is interrupted. Also

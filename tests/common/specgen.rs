@@ -16,8 +16,17 @@ use rtsj_event_framework::model::{
 };
 
 /// Draws a random system spec, valid by construction, from the case seed.
+///
+/// Priority ties come from a second stream seeded from the case seed, which
+/// the main stream never sees, so a case without a tie draws the same system
+/// whether or not ties are drawn: in about one case in four both lanes of a
+/// two-lane system share a priority, and independently both tasks of a
+/// two-task system do. Ties exercise the spawn-order tie-break both worlds'
+/// drivers share with their oracles.
 pub fn random_spec(seed: u64) -> SystemSpec {
     let mut rng = StdRng::seed_from_u64(seed);
+    let mut ties = StdRng::seed_from_u64(seed ^ 0x7135_7135_7135_7135);
+    let (lane_tie, task_tie) = (ties.gen_range(0..4u64) == 0, ties.gen_range(0..4u64) == 0);
     let policies = [
         ServerPolicyKind::Polling,
         ServerPolicyKind::Deferrable,
@@ -36,15 +45,16 @@ pub fn random_spec(seed: u64) -> SystemSpec {
     let mut lanes = Vec::new();
     for lane in 0..n_servers {
         let policy = policies[rng.gen_range(0..policies.len() as u64) as usize];
+        let priority = Priority::new(if lane_tie { 30 } else { 30 - lane as u8 });
         let server = if policy == ServerPolicyKind::Background {
-            ServerSpec::background(Priority::new(30 - lane as u8))
+            ServerSpec::background(priority)
         } else {
             let period = Span::from_units(rng.gen_range(5..=8));
             ServerSpec {
                 policy,
                 capacity: Span::from_units(rng.gen_range(2..=4u64)),
                 period,
-                priority: Priority::new(30 - lane as u8),
+                priority,
                 discipline: disciplines[rng.gen_range(0..2u64) as usize],
                 admission: admissions[rng.gen_range(0..3u64) as usize],
             }
@@ -59,7 +69,7 @@ pub fn random_spec(seed: u64) -> SystemSpec {
             format!("tau{task}"),
             Span::from_units(rng.gen_range(1..=2)),
             period,
-            Priority::new(20 - task as u8),
+            Priority::new(if task_tie { 20 } else { 20 - task as u8 }),
         );
     }
 

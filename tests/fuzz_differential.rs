@@ -180,3 +180,15 @@ fn fuzz_cases_are_deterministic_per_seed() {
         simulate(&spec_b).render_canonical()
     );
 }
+
+#[test]
+fn generator_draws_lane_and_task_priority_ties() {
+    let specs: Vec<SystemSpec> = (0..64).map(random_spec).collect();
+    let tied = |priorities: Vec<_>| priorities.len() == 2 && priorities[0] == priorities[1];
+    assert!(specs
+        .iter()
+        .any(|s| tied(s.servers.iter().map(|l| l.priority).collect())));
+    assert!(specs
+        .iter()
+        .any(|s| tied(s.periodic_tasks.iter().map(|t| t.priority).collect())));
+}

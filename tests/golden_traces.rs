@@ -21,6 +21,9 @@ use rtsj_event_framework::model::{
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
 use rtsj_event_framework::taskserver::{execute, execute_reference, ExecutionConfig};
 
+mod common;
+use common::traces::{assert_traces_eq, WINDOW};
+
 /// The simulator's driver on a compiled system's frozen tables.
 fn compiled_simulation(spec: &SystemSpec) -> Trace {
     CompiledSystem::compile(spec)
@@ -86,28 +89,61 @@ fn golden_path(name: &str) -> std::path::PathBuf {
 
 /// Checks (or, with `UPDATE_GOLDENS=1`, regenerates) one golden.
 ///
-/// `reference` is the rendering of the naive reference oracle and is what
-/// regeneration writes, so fixture provenance always stays with the seed
-/// implementation; `engine` is the driver's rendering and must match the
-/// same bytes.
-fn check_golden(name: &str, reference: &str, engine: &str) {
+/// `reference` is the trace of the naive reference oracle and is what
+/// regeneration renders, so fixture provenance always stays with the seed
+/// implementation; `engine` is the driver's trace. The two traces are
+/// compared first (a first-divergence report when the driver changed
+/// behaviour), then the oracle's rendering against the file (the first
+/// differing line with ±[`WINDOW`] lines of context).
+fn check_golden(name: &str, reference: &Trace, engine: &Trace) {
+    assert_traces_eq(name, reference, engine);
     let path = golden_path(name);
+    let rendered = reference.render_canonical();
     if std::env::var("UPDATE_GOLDENS").is_ok() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, reference).unwrap();
+        std::fs::write(&path, &rendered).unwrap();
     }
     let expected = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing golden {path:?} ({e}); run with UPDATE_GOLDENS=1"));
-    assert_eq!(
-        expected, reference,
-        "reference oracle diverged from golden {name}; if the change is \
-         intentional, regenerate with UPDATE_GOLDENS=1 and review the diff"
+    if let Some(report) = first_differing_line(&expected, &rendered) {
+        panic!(
+            "reference oracle diverged from golden {name}; if the change is \
+             intentional, regenerate with UPDATE_GOLDENS=1 and review the diff\n{report}"
+        );
+    }
+}
+
+/// The first line where `actual` differs from `expected`, with ±[`WINDOW`]
+/// lines of both sides; `None` when the texts are equal.
+fn first_differing_line(expected: &str, actual: &str) -> Option<String> {
+    if expected == actual {
+        return None;
+    }
+    let (expected, actual): (Vec<&str>, Vec<&str>) =
+        (expected.lines().collect(), actual.lines().collect());
+    // Equal line lists with unequal texts differ only in a trailing newline.
+    let at = (0..expected.len().max(actual.len()))
+        .find(|&i| expected.get(i) != actual.get(i))
+        .unwrap_or(expected.len());
+    let mut report = format!(
+        "first differing line {} ({} golden lines, {} rendered):\n",
+        at + 1,
+        expected.len(),
+        actual.len()
     );
-    assert_eq!(
-        expected, engine,
-        "driver diverged from golden {name} (the reference oracle still \
-         matches, so the driver changed behaviour)"
-    );
+    for (side, lines) in [("golden", &expected), ("rendered", &actual)] {
+        report.push_str(&format!("  {side}:\n"));
+        for (i, line) in lines
+            .iter()
+            .enumerate()
+            .take(at + WINDOW + 1)
+            .skip(at.saturating_sub(WINDOW))
+        {
+            let marker = if i == at { '>' } else { ' ' };
+            report.push_str(&format!("  {marker} {:>5} {line}\n", i + 1));
+        }
+    }
+    Some(report)
 }
 
 #[test]
@@ -124,11 +160,7 @@ fn executions_match_goldens_for_every_scenario_policy_and_queue() {
             let reference = execute_reference(&spec, &config);
             let engine = execute(&spec, &config);
             let name = format!("exec_s{scenario}_{policy:?}_fifo").to_lowercase();
-            check_golden(
-                &name,
-                &reference.render_canonical(),
-                &engine.render_canonical(),
-            );
+            check_golden(&name, &reference, &engine);
         }
     }
 }
@@ -146,11 +178,7 @@ fn simulations_match_goldens_for_every_scenario_and_policy() {
             let reference = simulate_reference(&spec);
             let engine = simulate(&spec);
             let name = format!("sim_s{scenario}_{policy:?}").to_lowercase();
-            check_golden(
-                &name,
-                &reference.render_canonical(),
-                &engine.render_canonical(),
-            );
+            check_golden(&name, &reference, &engine);
         }
     }
 }
@@ -214,18 +242,10 @@ fn multi_server_systems_match_goldens() {
         let config = ExecutionConfig::reference();
         let reference = execute_reference(&spec, &config);
         let engine = execute(&spec, &config);
-        check_golden(
-            &format!("exec_multi{n}_fifo"),
-            &reference.render_canonical(),
-            &engine.render_canonical(),
-        );
+        check_golden(&format!("exec_multi{n}_fifo"), &reference, &engine);
         let reference = simulate_reference(&spec);
         let engine = simulate(&spec);
-        check_golden(
-            &format!("sim_multi{n}"),
-            &reference.render_canonical(),
-            &engine.render_canonical(),
-        );
+        check_golden(&format!("sim_multi{n}"), &reference, &engine);
     }
 }
 
@@ -258,15 +278,15 @@ fn edf_traces_match_goldens_for_every_policy() {
         let engine = execute(&spec, &config);
         check_golden(
             &format!("exec_edf_s2_{policy:?}").to_lowercase(),
-            &reference.render_canonical(),
-            &engine.render_canonical(),
+            &reference,
+            &engine,
         );
         let reference = simulate_reference(&spec);
         let engine = simulate(&spec);
         check_golden(
             &format!("sim_edf_s2_{policy:?}").to_lowercase(),
-            &reference.render_canonical(),
-            &engine.render_canonical(),
+            &reference,
+            &engine,
         );
     }
 }
@@ -299,18 +319,10 @@ fn deadline_ordered_service_matches_goldens() {
     let config = ExecutionConfig::reference();
     let reference = execute_reference(&spec, &config);
     let engine = execute(&spec, &config);
-    check_golden(
-        "exec_edd_multi2_fifo",
-        &reference.render_canonical(),
-        &engine.render_canonical(),
-    );
+    check_golden("exec_edd_multi2_fifo", &reference, &engine);
     let reference = simulate_reference(&spec);
     let engine = simulate(&spec);
-    check_golden(
-        "sim_edd_multi2",
-        &reference.render_canonical(),
-        &engine.render_canonical(),
-    );
+    check_golden("sim_edd_multi2", &reference, &engine);
 }
 
 /// A rejecting/aborting workload for the admission goldens: a sustained 4×
@@ -407,11 +419,7 @@ fn admission_traces_match_goldens() {
             let config = ExecutionConfig::reference();
             let reference = execute_reference(&spec, &config);
             let engine = execute(&spec, &config);
-            check_golden(
-                &format!("exec_adm_{tag}"),
-                &reference.render_canonical(),
-                &engine.render_canonical(),
-            );
+            check_golden(&format!("exec_adm_{tag}"), &reference, &engine);
             // The workload must genuinely reject (or displace) work.
             assert!(
                 engine.outcomes.iter().any(|o| !o.is_accepted()),
@@ -419,11 +427,7 @@ fn admission_traces_match_goldens() {
             );
             let reference = simulate_reference(&spec);
             let engine = simulate(&spec);
-            check_golden(
-                &format!("sim_adm_{tag}"),
-                &reference.render_canonical(),
-                &engine.render_canonical(),
-            );
+            check_golden(&format!("sim_adm_{tag}"), &reference, &engine);
         }
     }
 }
@@ -442,8 +446,8 @@ fn multi_server_admission_traces_match_goldens() {
         let engine = execute(&spec, &config);
         check_golden(
             &format!("exec_adm_multi2_{}", policy.label()),
-            &reference.render_canonical(),
-            &engine.render_canonical(),
+            &reference,
+            &engine,
         );
         assert!(
             engine.outcomes.iter().any(|o| !o.is_accepted()),
@@ -453,8 +457,8 @@ fn multi_server_admission_traces_match_goldens() {
         let engine = simulate(&spec);
         check_golden(
             &format!("sim_adm_multi2_{}", policy.label()),
-            &reference.render_canonical(),
-            &engine.render_canonical(),
+            &reference,
+            &engine,
         );
     }
 }
@@ -477,8 +481,8 @@ fn compiled_traces_match_goldens() {
             let compiled = compiled_simulation(&spec);
             check_golden(
                 &format!("compiled_sim_s{scenario}_{policy:?}").to_lowercase(),
-                &reference.render_canonical(),
-                &compiled.render_canonical(),
+                &reference,
+                &compiled,
             );
         }
     }
@@ -496,22 +500,22 @@ fn compiled_traces_match_goldens() {
         let compiled = execute_compiled(&spec, &config);
         check_golden(
             &format!("compiled_exec_s2_{policy:?}").to_lowercase(),
-            &reference.render_canonical(),
-            &compiled.render_canonical(),
+            &reference,
+            &compiled,
         );
     }
     for n in [2usize, 3] {
         let spec = multi_server_system(n);
         check_golden(
             &format!("compiled_sim_multi{n}"),
-            &simulate_reference(&spec).render_canonical(),
-            &compiled_simulation(&spec).render_canonical(),
+            &simulate_reference(&spec),
+            &compiled_simulation(&spec),
         );
         let config = ExecutionConfig::reference();
         check_golden(
             &format!("compiled_exec_multi{n}"),
-            &execute_reference(&spec, &config).render_canonical(),
-            &execute_compiled(&spec, &config).render_canonical(),
+            &execute_reference(&spec, &config),
+            &execute_compiled(&spec, &config),
         );
     }
 }
@@ -597,16 +601,8 @@ fn fault_simulations_match_goldens() {
         let reference = simulate_reference(&spec);
         let engine = simulate(&spec);
         let name = format!("fault_sim_{variant}_{policy:?}").to_lowercase();
-        check_golden(
-            &name,
-            &reference.render_canonical(),
-            &engine.render_canonical(),
-        );
-        assert_eq!(
-            reference.render_canonical(),
-            compiled_simulation(&spec).render_canonical(),
-            "compiled simulation diverged from fault golden {name}"
-        );
+        check_golden(&name, &reference, &engine);
+        assert_traces_eq(&name, &reference, &compiled_simulation(&spec));
     }
 }
 
@@ -620,15 +616,7 @@ fn fault_executions_match_goldens() {
         let reference = execute_reference(&spec, &config);
         let engine = execute(&spec, &config);
         let name = format!("fault_exec_{variant}_{policy:?}").to_lowercase();
-        check_golden(
-            &name,
-            &reference.render_canonical(),
-            &engine.render_canonical(),
-        );
-        assert_eq!(
-            reference.render_canonical(),
-            execute_compiled(&spec, &config).render_canonical(),
-            "compiled execution diverged from fault golden {name}"
-        );
+        check_golden(&name, &reference, &engine);
+        assert_traces_eq(&name, &reference, &execute_compiled(&spec, &config));
     }
 }

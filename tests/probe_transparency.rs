@@ -36,6 +36,7 @@ use rtsj_event_framework::taskserver::{execute, execute_with_probe, ExecutionCon
 
 mod common;
 use common::specgen::random_spec;
+use common::traces::assert_traces_eq;
 
 /// One Table-1-shaped spec per matrix point.
 fn matrix_spec(
@@ -109,29 +110,29 @@ fn matrix() -> Vec<SystemSpec> {
 /// with and without a recording probe attached.
 fn assert_probe_transparent(spec: &SystemSpec) {
     let mut probe = MetricsProbe::new();
-    assert_eq!(
-        simulate(spec).render_canonical(),
-        simulate_with_probe(spec, &mut probe).render_canonical(),
-        "{}: simulator changed under observation",
-        spec.name
+    assert_traces_eq(
+        &format!("{}: simulator under observation", spec.name),
+        &simulate(spec),
+        &simulate_with_probe(spec, &mut probe),
     );
 
     let compiled = compile(spec);
     let mut probe = MetricsProbe::new();
-    assert_eq!(
-        compiled.simulate().render_canonical(),
-        compiled.simulate_with_probe(&mut probe).render_canonical(),
-        "{}: compiled system's simulation changed under observation",
-        spec.name
+    assert_traces_eq(
+        &format!(
+            "{}: compiled system's simulation under observation",
+            spec.name
+        ),
+        &compiled.simulate(),
+        &compiled.simulate_with_probe(&mut probe),
     );
 
     for config in [ExecutionConfig::reference(), ExecutionConfig::ideal()] {
         let mut probe = MetricsProbe::new();
-        assert_eq!(
-            execute(spec, &config).render_canonical(),
-            execute_with_probe(spec, &config, &mut probe).render_canonical(),
-            "{}: execution driver changed under observation",
-            spec.name
+        assert_traces_eq(
+            &format!("{}: execution driver under observation", spec.name),
+            &execute(spec, &config),
+            &execute_with_probe(spec, &config, &mut probe),
         );
     }
 }
@@ -147,11 +148,10 @@ fn assert_sim_engines_agree(spec: &SystemSpec) {
     let trace_i = simulate_with_probe(spec, &mut fresh);
     let mut compiled = MetricsProbe::new();
     let trace_c = compile(spec).simulate_with_probe(&mut compiled);
-    assert_eq!(
-        trace_i.render_canonical(),
-        trace_c.render_canonical(),
-        "{}: engines diverged before metrics were compared",
-        spec.name
+    assert_traces_eq(
+        &format!("{}: engines before metrics were compared", spec.name),
+        &trace_i,
+        &trace_c,
     );
     fresh.absorb_trace(&trace_i);
     compiled.absorb_trace(&trace_c);
@@ -206,11 +206,7 @@ fn span_probes_are_transparent_and_export_chrome_trace_json() {
     );
     let mut spans = SpanProbe::new();
     let observed = simulate_with_probe(&spec, &mut spans);
-    assert_eq!(
-        simulate(&spec).render_canonical(),
-        observed.render_canonical(),
-        "span recording changed the simulated trace"
-    );
+    assert_traces_eq("span recording", &simulate(&spec), &observed);
     let json = chrome_trace_json(&spans, &UnitNames::from_spec(&spec));
     assert!(json.contains("\"traceEvents\""));
     assert!(json.contains("\"ph\":\"X\""), "no duration spans recorded");
